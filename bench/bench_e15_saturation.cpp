@@ -106,8 +106,9 @@ void verify_micro_table(BenchJson& json) {
     table.end_row();
   }
   std::printf(
-      "\nStraus' trick shares the 256 point doublings across the whole\n"
-      "batch; per-signature cost falls toward the addition chains alone.\n\n");
+      "\nStraus' trick shares the ~128 point doublings across the whole\n"
+      "batch; per-signature cost falls toward the addition chains and the\n"
+      "decoding of R.\n\n");
 }
 
 /// E11's live deployment, widened: several client principals and a

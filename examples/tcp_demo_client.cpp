@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
   }
   std::string public_hex, seed_hex;
   in >> public_hex >> seed_hex;
-  crypto::KeyPair client_pair;
-  client_pair.public_key = from_hex(public_hex);
-  client_pair.seed = from_hex(seed_hex);
+  const crypto::KeyPair client_pair = crypto::KeyPair::from_seed(from_hex(seed_hex));
   config.client_keys[1] = client_pair.public_key;
 
   net::TcpTransport transport(0, std::move(directory));

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "crypto/ed25519.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 #include "util/serial.h"
@@ -42,12 +43,12 @@ struct AuthToken {
 /// The issuing side of the authorization service.
 class Authorizer {
  public:
-  explicit Authorizer(Bytes authority_seed) : seed_(std::move(authority_seed)) {}
+  explicit Authorizer(BytesView authority_seed) : key_(crypto::ed25519_expand(authority_seed)) {}
 
   AuthToken issue(ClientId client, GroupId group, Rights rights, SimTime expiry = 0) const;
 
  private:
-  Bytes seed_;
+  crypto::Ed25519SigningKey key_;
 };
 
 /// The verifying side (runs at each server).

@@ -375,7 +375,7 @@ void SecureStoreClient::disconnect_attempt(unsigned round, SimTime deadline, Tra
   StoredContext stored;
   stored.owner = client_id_;
   stored.context = context_;
-  stored.sign(keys_.seed);
+  stored.sign(keys_.signing_key);
 
   ContextWriteReq req;
   req.stored = std::move(stored);
@@ -597,7 +597,7 @@ void SecureStoreClient::write(ItemId item, BytesView value, VoidCb done) {
     record->writer_context = Context(options_.policy.group);
   }
 
-  record->sign(keys_.seed);
+  record->sign(keys_.signing_key);
 
   auto shares = std::make_shared<std::vector<Bytes>>();
   send_write(record, write_set_size(), /*round=*/0, op_deadline(), shares, std::move(trace),

@@ -20,13 +20,15 @@ Bytes WriteRecord::signed_payload() const {
   return w.take();
 }
 
-void WriteRecord::sign(BytesView writer_seed) {
+void WriteRecord::sign(const crypto::Ed25519SigningKey& writer_key) {
   value_digest = crypto::meter_digest(value);
   if (!ts.digest.empty() && ts.digest != value_digest) {
     throw std::invalid_argument("WriteRecord::sign: ts.digest does not match d(v)");
   }
-  signature = crypto::meter_sign(writer_seed, signed_payload());
+  signature = crypto::meter_sign(writer_key, signed_payload());
 }
+
+void WriteRecord::sign(BytesView writer_seed) { sign(crypto::ed25519_expand(writer_seed)); }
 
 bool WriteRecord::verify(BytesView writer_public_key) const {
   if (!verify_meta(writer_public_key)) return false;
@@ -94,8 +96,8 @@ Bytes StoredContext::signed_payload() const {
   return w.take();
 }
 
-void StoredContext::sign(BytesView owner_seed) {
-  signature = crypto::meter_sign(owner_seed, signed_payload());
+void StoredContext::sign(const crypto::Ed25519SigningKey& owner_key) {
+  signature = crypto::meter_sign(owner_key, signed_payload());
 }
 
 bool StoredContext::verify(BytesView owner_public_key) const {

@@ -19,6 +19,7 @@
 #include "core/context.h"
 #include "core/timestamp.h"
 #include "core/types.h"
+#include "crypto/ed25519.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 
@@ -58,6 +59,8 @@ struct WriteRecord {
 
   /// Computes d(v), fills `value_digest`, signs. For multi-writer records
   /// the caller must have set ts.digest = d(v) first (checked).
+  void sign(const crypto::Ed25519SigningKey& writer_key);
+  /// sign(crypto::ed25519_expand(writer_seed)).
   void sign(BytesView writer_seed);
 
   /// Full verification: signature over the meta-data AND value matches d(v).
@@ -86,7 +89,7 @@ struct StoredContext {
   Bytes signature;
 
   Bytes signed_payload() const;
-  void sign(BytesView owner_seed);
+  void sign(const crypto::Ed25519SigningKey& owner_key);
   bool verify(BytesView owner_public_key) const;
 
   void encode(Writer& w) const;

@@ -596,7 +596,7 @@ const Bytes& SecureStoreServer::overloaded_body(std::uint32_t retry_after_us) {
   if (it == overload_bodies_.end()) {
     OverloadedResp resp;
     resp.retry_after_us = retry_after_us;
-    resp.signature = crypto::meter_sign(keys_.seed, overload_statement(retry_after_us));
+    resp.signature = crypto::meter_sign(keys_.signing_key, overload_statement(retry_after_us));
     it = overload_bodies_.emplace(retry_after_us, resp.serialize()).first;
   }
   return it->second;
@@ -723,22 +723,15 @@ std::vector<std::optional<std::pair<net::MsgType, Bytes>>> SecureStoreServer::ha
     sig_records.push_back(std::move(req.record));
     sig_payloads.push_back(sig_records.back().signed_payload());
   }
-  if (sig_index.size() == 1) {
-    // A batch of one amortizes nothing; the scalar path meters identically.
-    const WriteRecord& record = sig_records.front();
-    prevalidated[sig_index.front()] =
-        crypto::meter_verify(*client_key(record.writer), sig_payloads.front(), record.signature);
-  } else if (sig_index.size() > 1) {
-    std::vector<crypto::BatchVerifyItem> items;
-    items.reserve(sig_index.size());
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      items.push_back(crypto::BatchVerifyItem{*client_key(sig_records[j].writer),
-                                              sig_payloads[j], sig_records[j].signature});
-    }
-    const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      prevalidated[sig_index[j]] = verdict.valid[j];
-    }
+  std::vector<crypto::BatchVerifyItem> items;
+  items.reserve(sig_index.size());
+  for (std::size_t j = 0; j < sig_index.size(); ++j) {
+    items.push_back(crypto::BatchVerifyItem{*client_key(sig_records[j].writer), sig_payloads[j],
+                                            sig_records[j].signature});
+  }
+  const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
+  for (std::size_t j = 0; j < sig_index.size(); ++j) {
+    prevalidated[sig_index[j]] = verdict.valid[j];
   }
 
   // Dispatch each request through the full scalar path — fault hooks,
@@ -868,7 +861,7 @@ Bytes SecureStoreServer::handle_write(const WriteReq& req) {
   if (visible && policy.sharing == SharingMode::kMultiWriter &&
       policy.trust == ClientTrust::kByzantine) {
     resp.stability_share =
-        crypto::meter_sign(keys_.seed, stability_statement(record.item, record.ts));
+        crypto::meter_sign(keys_.signing_key, stability_statement(record.item, record.ts));
   }
   return resp.serialize();
 }
@@ -940,24 +933,16 @@ std::vector<bool> SecureStoreServer::apply_gossip_batch(
     sig_index.push_back(i);
     sig_payloads.push_back(record.signed_payload());
   }
-  if (sig_index.size() == 1) {
-    const WriteRecord& record = records[sig_index.front()].first;
-    if (crypto::meter_verify(*client_key(record.writer), sig_payloads.front(),
-                             record.signature)) {
-      accepted[sig_index.front()] = true;
-    }
-  } else if (sig_index.size() > 1) {
-    std::vector<crypto::BatchVerifyItem> items;
-    items.reserve(sig_index.size());
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      const WriteRecord& record = records[sig_index[j]].first;
-      items.push_back(
-          crypto::BatchVerifyItem{*client_key(record.writer), sig_payloads[j], record.signature});
-    }
-    const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
-    for (std::size_t j = 0; j < sig_index.size(); ++j) {
-      if (verdict.valid[j]) accepted[sig_index[j]] = true;
-    }
+  std::vector<crypto::BatchVerifyItem> items;
+  items.reserve(sig_index.size());
+  for (std::size_t j = 0; j < sig_index.size(); ++j) {
+    const WriteRecord& record = records[sig_index[j]].first;
+    items.push_back(
+        crypto::BatchVerifyItem{*client_key(record.writer), sig_payloads[j], record.signature});
+  }
+  const crypto::BatchVerifyResult verdict = crypto::ed25519_batch_verify(items);
+  for (std::size_t j = 0; j < sig_index.size(); ++j) {
+    accepted[sig_index[j]] = verdict.valid[j];
   }
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (accepted[i]) apply_with_holds(records[i].first);

@@ -1,6 +1,7 @@
 #include "crypto/ed25519.h"
 
 #include <cstring>
+#include <stdexcept>
 
 #include "crypto/ed25519_internal.h"
 #include "crypto/sha2.h"
@@ -9,84 +10,55 @@ namespace securestore::crypto {
 
 using namespace ed25519_internal;
 
-Bytes ed25519_public_key(BytesView seed) {
-  const ExpandedKey key = expand_seed(seed);
-  const Ge a_point = ge_scalar_mul(ge_base(), key.scalar);
-  Bytes out(kEd25519PublicKeySize);
-  ge_compress(out.data(), a_point);
-  return out;
+Ed25519SigningKey ed25519_expand(BytesView seed) {
+  if (seed.size() != kEd25519SeedSize) {
+    throw std::invalid_argument("ed25519: seed must be 32 bytes");
+  }
+  const Bytes h = sha512(seed);
+  Ed25519SigningKey key;
+  std::memcpy(key.scalar.data(), h.data(), 32);
+  std::memcpy(key.prefix.data(), h.data() + 32, 32);
+  key.scalar[0] &= 248;
+  key.scalar[31] &= 127;
+  key.scalar[31] |= 64;
+  ge_compress(key.public_key.data(), ge_p3_to_p2(ge_scalarmult_base(key.scalar.data())));
+  return key;
 }
 
-Bytes ed25519_sign(BytesView seed, BytesView message) {
-  const ExpandedKey key = expand_seed(seed);
+Bytes ed25519_public_key(BytesView seed) {
+  const Ed25519SigningKey key = ed25519_expand(seed);
+  return Bytes(key.public_key.begin(), key.public_key.end());
+}
 
-  Bytes public_key(kEd25519PublicKeySize);
-  {
-    const Ge a_point = ge_scalar_mul(ge_base(), key.scalar);
-    ge_compress(public_key.data(), a_point);
-  }
-
+Bytes ed25519_sign(const Ed25519SigningKey& key, BytesView message) {
   // r = SHA512(prefix || M) mod L
   Sha512 hr;
-  hr.update(BytesView(key.prefix, 32));
+  hr.update(BytesView(key.prefix.data(), 32));
   hr.update(message);
   const auto r_hash = hr.finish();
   std::uint8_t r_scalar[32];
-  reduce_hash_to_scalar(r_scalar, BytesView(r_hash.data(), r_hash.size()));
+  sc_reduce64(r_scalar, r_hash.data());
 
   // R = r*B
-  std::uint8_t r_bytes[32];
-  ge_compress(r_bytes, ge_scalar_mul(ge_base(), r_scalar));
+  Bytes signature(kEd25519SignatureSize);
+  ge_compress(signature.data(), ge_p3_to_p2(ge_scalarmult_base(r_scalar)));
 
   // k = SHA512(R || A || M) mod L
   Sha512 hk;
-  hk.update(BytesView(r_bytes, 32));
-  hk.update(public_key);
+  hk.update(BytesView(signature.data(), 32));
+  hk.update(BytesView(key.public_key.data(), 32));
   hk.update(message);
   const auto k_hash = hk.finish();
   std::uint8_t k_scalar[32];
-  reduce_hash_to_scalar(k_scalar, BytesView(k_hash.data(), k_hash.size()));
+  sc_reduce64(k_scalar, k_hash.data());
 
   // S = (r + k*a) mod L
-  std::uint8_t s_scalar[32];
-  scalar_muladd(s_scalar, k_scalar, key.scalar, r_scalar);
-
-  Bytes signature(kEd25519SignatureSize);
-  std::memcpy(signature.data(), r_bytes, 32);
-  std::memcpy(signature.data() + 32, s_scalar, 32);
+  sc_muladd(signature.data() + 32, k_scalar, key.scalar.data(), r_scalar);
   return signature;
 }
 
-bool ed25519_verify(BytesView public_key, BytesView message, BytesView signature) {
-  if (public_key.size() != kEd25519PublicKeySize) return false;
-  if (signature.size() != kEd25519SignatureSize) return false;
-
-  const std::uint8_t* r_bytes = signature.data();
-  const std::uint8_t* s_bytes = signature.data() + 32;
-  if (!scalar_is_canonical(s_bytes)) return false;
-
-  Ge a_point;
-  if (!ge_decompress(a_point, public_key.data())) return false;
-  Ge r_point;
-  if (!ge_decompress(r_point, r_bytes)) return false;
-
-  // k = SHA512(R || A || M) mod L
-  Sha512 hk;
-  hk.update(BytesView(r_bytes, 32));
-  hk.update(public_key);
-  hk.update(message);
-  const auto k_hash = hk.finish();
-  std::uint8_t k_scalar[32];
-  reduce_hash_to_scalar(k_scalar, BytesView(k_hash.data(), k_hash.size()));
-
-  // Check [S]B == R + [k]A  <=>  [S]B + [k](-A) == R.
-  const Ge sb = ge_scalar_mul(ge_base(), s_bytes);
-  const Ge ka_neg = ge_scalar_mul(ge_neg(a_point), k_scalar);
-  const Ge check = ge_add(sb, ka_neg);
-
-  std::uint8_t check_bytes[32];
-  ge_compress(check_bytes, check);
-  return std::memcmp(check_bytes, r_bytes, 32) == 0;
+Bytes ed25519_sign(BytesView seed, BytesView message) {
+  return ed25519_sign(ed25519_expand(seed), message);
 }
 
 }  // namespace securestore::crypto

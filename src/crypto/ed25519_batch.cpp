@@ -1,7 +1,7 @@
 #include "crypto/ed25519_batch.h"
 
-#include <cstring>
 #include <array>
+#include <cstring>
 
 #include "crypto/ed25519.h"
 #include "crypto/ed25519_internal.h"
@@ -14,14 +14,18 @@ namespace {
 
 using namespace ed25519_internal;
 
-/// One structurally-sound signature admitted to the combined equation.
-struct BatchTerm {
-  std::size_t index = 0;        // position in the caller's item vector
-  Ge a_neg;                     // -A_i (decompressed public key, negated)
-  Ge r_neg;                     // -R_i
-  std::uint8_t zs[32];          // z_i * S_i mod L (summed into the B scalar)
-  std::uint8_t zk[32];          // z_i * k_i mod L (scalar for -A_i)
-  std::uint8_t z[32];           // z_i itself (scalar for -R_i)
+/// w-NAF width for the -R_i terms of a batch: their 128-bit coefficients
+/// take about 21 additions on top of a 7-addition table.
+constexpr int kBatchRNafWidth = 5;
+
+/// One structurally-sound signature admitted to the verification equation.
+struct Prepared {
+  std::size_t index = 0;  // position in the caller's item vector
+  std::shared_ptr<const DecodedKey> key;
+  GeP3 r_neg{};                           // -R_i
+  const std::uint8_t* s_bytes = nullptr;  // S_i, canonical
+  std::uint8_t k[32] = {};                // SHA512(R || A || M) mod L
+  std::uint8_t z[32] = {};                // batch coefficient (1 when checked alone)
 };
 
 /// Derives the batch's deterministic coefficient stream: SHA512 over a
@@ -30,7 +34,7 @@ struct BatchTerm {
 /// verification replays identically (simulator/chaos), Fiat-Shamir so an
 /// adversary cannot pick signatures whose defects cancel against
 /// coefficients that depend on those signatures.
-std::array<std::uint8_t, 64> batch_coefficient_seed(const std::vector<BatchVerifyItem>& items) {
+std::array<std::uint8_t, 64> batch_coefficient_seed(std::span<const BatchVerifyItem> items) {
   Sha512 h;
   static constexpr char kTag[] = "securestore.ed25519.batch.v1";
   h.update(BytesView(reinterpret_cast<const std::uint8_t*>(kTag), sizeof kTag - 1));
@@ -62,9 +66,73 @@ void derive_coefficient(std::uint8_t out[32], BytesView seed, std::uint64_t inde
   out[0] |= 1;
 }
 
+/// Structural checks (sizes, canonical S, decodable A and R) and the
+/// challenge k = SHA512(R || A || M) mod L. A structural failure is
+/// definitively invalid and never enters an equation.
+bool prepare(Prepared& out, const BatchVerifyItem& item, KeyCache& keys) {
+  if (item.public_key.size() != kEd25519PublicKeySize) return false;
+  if (item.signature.size() != kEd25519SignatureSize) return false;
+  const std::uint8_t* r_bytes = item.signature.data();
+  out.s_bytes = item.signature.data() + 32;
+  if (!sc_is_canonical(out.s_bytes)) return false;
+  out.key = keys.get(item.public_key.data());
+  if (out.key == nullptr) return false;
+  GeP3 r_point;
+  if (!ge_decompress(r_point, r_bytes)) return false;
+  out.r_neg = ge_p3_neg(r_point);
+
+  Sha512 hk;
+  hk.update(BytesView(r_bytes, 32));
+  hk.update(item.public_key);
+  hk.update(item.message);
+  sc_reduce64(out.k, hk.finish().data());
+  std::memset(out.z, 0, 32);
+  out.z[0] = 1;
+  return true;
+}
+
+/// Checks, with one multi-scalar multiplication,
+///   [sum z_i S_i] B + sum [z_i k_i] (-A_i) + sum [z_i] (-R_i) == O.
+/// With one item and z = 1 this is exactly [S]B == R + [k]A.
+bool equation_holds(std::span<const Prepared> items) {
+  std::uint8_t b_scalar[32] = {0};
+  std::vector<MsmTerm> terms(3 * items.size());
+  std::vector<std::vector<GeCached>> r_tables;
+  r_tables.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Prepared& item = items[i];
+    std::uint8_t zs[32];
+    sc_mul(zs, item.z, item.s_bytes);
+    sc_add(b_scalar, b_scalar, zs);
+
+    // z_i k_i mod 8L (not mod L) keeps [z_i k_i](-A_i) exact for a key
+    // with a torsion component, so a lone defect z_i D_i never vanishes.
+    std::uint8_t zk[32], zk_lo[32], zk_hi[32];
+    sc_mul_mod_8l(zk, item.z, item.k);
+    sc_split128(zk, zk_lo, zk_hi);
+    MsmTerm& a_lo = terms[3 * i];
+    a_lo.digits = ge_wnaf(a_lo.naf, zk_lo, kKeyNafWidth);
+    a_lo.odd_multiples = item.key->neg_odd_multiples.data();
+    MsmTerm& a_hi = terms[3 * i + 1];
+    a_hi.digits = ge_wnaf(a_hi.naf, zk_hi, kKeyNafWidth);
+    a_hi.odd_multiples = item.key->neg_odd_multiples_hi.data();
+
+    // A unit coefficient needs only -R itself (the smallest table).
+    const bool unit = items.size() == 1;
+    const int r_width = unit ? 2 : kBatchRNafWidth;
+    r_tables.push_back(ge_odd_multiples(item.r_neg, r_width));
+    MsmTerm& r_term = terms[3 * i + 2];
+    r_term.digits = ge_wnaf(r_term.naf, item.z, r_width);
+    r_term.odd_multiples = r_tables.back().data();
+  }
+  return ge_is_identity(ge_msm(b_scalar, terms));
+}
+
 }  // namespace
 
-BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items) {
+namespace ed25519_internal {
+
+BatchVerifyResult verify_batch(std::span<const BatchVerifyItem> items, KeyCache& keys) {
   BatchVerifyResult result;
   result.valid.assign(items.size(), false);
   if (items.empty()) {
@@ -72,81 +140,37 @@ BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items
     return result;
   }
 
-  // Every item counts as one verification in the paper's cost model
-  // regardless of how the batch amortizes the point arithmetic.
-  CryptoMeter::instance().verifies += items.size();
-
-  // Pass 1: structural checks (sizes, canonical S, decompressible A and R)
-  // and per-item challenge k_i = SHA512(R || A || M) mod L. Structural
-  // failures are definitively invalid and simply stay out of the sum; they
-  // cannot poison the batch.
-  std::vector<BatchTerm> terms;
-  terms.reserve(items.size());
-  const auto seed = batch_coefficient_seed(items);
+  std::vector<Prepared> prepared;
+  prepared.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchVerifyItem& item = items[i];
-    if (item.public_key.size() != kEd25519PublicKeySize) continue;
-    if (item.signature.size() != kEd25519SignatureSize) continue;
-    const std::uint8_t* r_bytes = item.signature.data();
-    const std::uint8_t* s_bytes = item.signature.data() + 32;
-    if (!scalar_is_canonical(s_bytes)) continue;
-
-    BatchTerm term;
-    term.index = i;
-    Ge a_point;
-    if (!ge_decompress(a_point, item.public_key.data())) continue;
-    Ge r_point;
-    if (!ge_decompress(r_point, r_bytes)) continue;
-    term.a_neg = ge_neg(a_point);
-    term.r_neg = ge_neg(r_point);
-
-    Sha512 hk;
-    hk.update(BytesView(r_bytes, 32));
-    hk.update(item.public_key);
-    hk.update(item.message);
-    const auto k_hash = hk.finish();
-    std::uint8_t k_scalar[32];
-    reduce_hash_to_scalar(k_scalar, BytesView(k_hash.data(), k_hash.size()));
-
-    derive_coefficient(term.z, BytesView(seed.data(), seed.size()), i);
-    scalar_mul(term.zk, term.z, k_scalar);
-    scalar_mul(term.zs, term.z, s_bytes);
-    terms.push_back(term);
+    Prepared item;
+    item.index = i;
+    if (prepare(item, items[i], keys)) prepared.push_back(std::move(item));
   }
 
-  if (!terms.empty()) {
-    // Combined equation, rearranged to a single identity check:
-    //   [sum z_i S_i] B + sum [z_i k_i] (-A_i) + sum [z_i] (-R_i) == O.
-    std::uint8_t b_scalar[32] = {0};
-    for (const BatchTerm& term : terms) scalar_add(b_scalar, b_scalar, term.zs);
-
-    // Interleaved (Straus) multi-scalar multiplication: one MSB-first walk
-    // over 256 bits, doubling the accumulator once per bit and adding every
-    // point whose scalar has that bit set — the doublings are what single
-    // verification pays 2x512 of, and here the whole batch shares 256.
-    Ge acc = ge_identity();
-    for (int bit = 255; bit >= 0; --bit) {
-      acc = ge_double(acc);
-      const std::size_t byte = static_cast<std::size_t>(bit / 8);
-      const int shift = bit % 8;
-      if ((b_scalar[byte] >> shift) & 1) acc = ge_add(acc, ge_base());
-      for (const BatchTerm& term : terms) {
-        if ((term.zk[byte] >> shift) & 1) acc = ge_add(acc, term.a_neg);
-        if ((term.z[byte] >> shift) & 1) acc = ge_add(acc, term.r_neg);
-      }
+  // A lone equation keeps z = 1, so it is the single-signature check
+  // itself; two or more terms draw Fiat-Shamir coefficients.
+  if (prepared.size() > 1) {
+    const auto seed = batch_coefficient_seed(items);
+    for (Prepared& item : prepared) {
+      derive_coefficient(item.z, BytesView(seed.data(), seed.size()), item.index);
     }
+  }
 
-    if (ge_is_identity(acc)) {
-      for (const BatchTerm& term : terms) result.valid[term.index] = true;
+  if (!prepared.empty()) {
+    if (equation_holds(prepared)) {
+      for (const Prepared& item : prepared) result.valid[item.index] = true;
     } else {
-      // One bad signature poisons the whole sum; isolate it by falling back
-      // to per-message verification so honest requests in the same batch
-      // still pass. The per-item verifies are already metered above.
+      // One bad signature poisons the whole sum; isolate it by checking
+      // each item alone (z = 1) so honest requests in the same batch still
+      // pass. A lone item's failed equation already is its verdict.
       result.used_fallback = true;
-      for (const BatchTerm& term : terms) {
-        const BatchVerifyItem& item = items[term.index];
-        result.valid[term.index] =
-            ed25519_verify(item.public_key, item.message, item.signature);
+      if (prepared.size() > 1) {
+        for (Prepared& item : prepared) {
+          std::memset(item.z, 0, 32);
+          item.z[0] = 1;
+          result.valid[item.index] = equation_holds(std::span<const Prepared>(&item, 1));
+        }
       }
     }
   }
@@ -154,6 +178,22 @@ BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items
   result.all_valid = true;
   for (const bool ok : result.valid) result.all_valid = result.all_valid && ok;
   return result;
+}
+
+}  // namespace ed25519_internal
+
+BatchVerifyResult ed25519_batch_verify(const std::vector<BatchVerifyItem>& items) {
+  // Every item counts as one verification in the paper's cost model
+  // regardless of how the batch amortizes the point arithmetic.
+  CryptoMeter::instance().verifies += items.size();
+  return ed25519_internal::verify_batch(items, KeyCache::global());
+}
+
+bool ed25519_verify(BytesView public_key, BytesView message, BytesView signature) {
+  const BatchVerifyItem item{public_key, message, signature};
+  return ed25519_internal::verify_batch(std::span<const BatchVerifyItem>(&item, 1),
+                                        KeyCache::global())
+      .all_valid;
 }
 
 }  // namespace securestore::crypto

@@ -1,371 +1,277 @@
-// Ed25519 internals shared between single verify (ed25519.cpp) and batch
-// verify (ed25519_batch.cpp).
+// Ed25519 internals shared by signing and key derivation (ed25519.cpp) and
+// by the multi-scalar verification engine (ed25519_batch.cpp).
 //
-// Everything here used to live in an anonymous namespace inside ed25519.cpp;
-// it is hoisted into this header-only internal namespace so the batch
-// verifier can reuse the exact same field/group/scalar arithmetic — batch
-// and single verification must agree bit-for-bit on what a valid point or
-// canonical scalar is, and the only way to guarantee that is to share the
-// code. Not part of the public crypto API: include only from crypto/*.cpp
-// and crypto tests.
+// Single and batch verification run through the same engine, so they agree
+// bit-for-bit on what a valid point or canonical scalar is. Not part of the
+// public crypto API: include only from crypto/*.cpp and crypto tests.
+//
+// Group arithmetic follows the ref10 layering over the twisted Edwards
+// curve -x^2 + y^2 = 1 + d x^2 y^2 (Hisil-Wong-Carter-Dawson 2008, a = -1):
+//   GeP2     projective (X:Y:Z)                  x = X/Z, y = Y/Z
+//   GeP3     extended (X:Y:Z:T)                  also T = XY/Z
+//   GeP1P1   completed ((X:Z),(Y:T))             x = X/Z, y = Y/T
+//   GeCached (Y+X, Y-X, Z, 2dT)                  addend of a full addition
+//   GeNiels  (y+x, y-x, 2dxy), affine            addend of a mixed addition
+// A doubling is P2 -> P1P1 (4 squarings), an addition P3 + Cached -> P1P1
+// (4 multiplications) or P3 + Niels -> P1P1 (3); converting P1P1 to P2
+// costs 3 multiplications and to P3 costs 4, so a doubling followed by a
+// doubling never computes T. Every field input stays inside the limb bounds
+// documented in fe25519.h: each add result below feeds only mul, sq or sub.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <cstring>
-#include <stdexcept>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <unordered_map>
+#include <vector>
 
-#include "crypto/ed25519.h"
+#include "crypto/ed25519_batch.h"
 #include "crypto/fe25519.h"
-#include "crypto/sha2.h"
-#include "util/bytes.h"
 
 namespace securestore::crypto::ed25519_internal {
 
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
+using fe25519::Fe;
+namespace fe = fe25519;
+
+/// 2d, for d = -121665/121666 mod p the curve constant.
+const Fe& fe_2d();
 
 // ---------------------------------------------------------------------------
-// Field arithmetic: shared 51-bit-limb implementation in crypto/fe25519.h;
-// thin aliases keep the group code readable.
+// Point representations and formulas.
 // ---------------------------------------------------------------------------
 
-using Fe = fe25519::Fe;
+struct GeP2 {
+  Fe x, y, z;
+};
 
-constexpr Fe kFeZero = fe25519::kZero;
-constexpr Fe kFeOne = fe25519::kOne;
-
-inline Fe fe_from_bytes(const std::uint8_t s[32]) { return fe25519::from_bytes(s); }
-inline void fe_to_bytes(std::uint8_t s[32], const Fe& f) { fe25519::to_bytes(s, f); }
-inline Fe fe_add(const Fe& a, const Fe& b) { return fe25519::add(a, b); }
-inline Fe fe_sub(const Fe& a, const Fe& b) { return fe25519::sub(a, b); }
-inline Fe fe_neg(const Fe& a) { return fe25519::neg(a); }
-inline Fe fe_mul(const Fe& a, const Fe& b) { return fe25519::mul(a, b); }
-inline Fe fe_sq(const Fe& a) { return fe25519::sq(a); }
-inline bool fe_is_zero(const Fe& a) { return fe25519::is_zero(a); }
-inline bool fe_equal(const Fe& a, const Fe& b) { return fe25519::equal(a, b); }
-inline bool fe_is_negative(const Fe& a) { return fe25519::is_negative(a); }
-inline Fe fe_invert(const Fe& a) { return fe25519::invert(a); }
-inline Fe fe_pow22523(const Fe& a) { return fe25519::pow22523(a); }
-
-// Curve constants as canonical little-endian bytes (RFC 8032):
-// d = -121665/121666 mod p, and sqrt(-1) mod p.
-constexpr std::uint8_t kDBytes[32] = {
-    0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41,
-    0x41, 0x4d, 0x0a, 0x70, 0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40,
-    0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c, 0x03, 0x52};
-constexpr std::uint8_t kSqrtM1Bytes[32] = {
-    0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f,
-    0xad, 0x06, 0x18, 0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00,
-    0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f, 0x80, 0x24, 0x83, 0x2b};
-
-inline const Fe& fe_d() {
-  static const Fe d = fe_from_bytes(kDBytes);
-  return d;
-}
-
-inline const Fe& fe_2d() {
-  static const Fe two_d = fe_add(fe_d(), fe_d());
-  return two_d;
-}
-
-inline const Fe& fe_sqrtm1() {
-  static const Fe s = fe_from_bytes(kSqrtM1Bytes);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Group operations: extended twisted-Edwards coordinates (X:Y:Z:T), a = -1.
-// ---------------------------------------------------------------------------
-
-struct Ge {
+struct GeP3 {
   Fe x, y, z, t;
 };
 
-inline Ge ge_identity() { return Ge{kFeZero, kFeOne, kFeOne, kFeZero}; }
-
-/// Unified addition (add-2008-hwcd-3 structure, complete for Ed25519).
-inline Ge ge_add(const Ge& p, const Ge& q) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const Fe c = fe_mul(fe_mul(p.t, fe_2d()), q.t);
-  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(d, c);
-  const Fe g = fe_add(d, c);
-  const Fe h = fe_add(b, a);
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
-
-/// Doubling (dbl-2008-hwcd).
-inline Ge ge_double(const Ge& p) {
-  const Fe a = fe_sq(p.x);
-  const Fe b = fe_sq(p.y);
-  const Fe c = fe_add(fe_sq(p.z), fe_sq(p.z));
-  const Fe d = fe_neg(a);  // a = -1 curve parameter
-  const Fe e = fe_sub(fe_sub(fe_sq(fe_add(p.x, p.y)), a), b);
-  const Fe g = fe_add(d, b);
-  const Fe f = fe_sub(g, c);
-  const Fe h = fe_sub(d, b);
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
-
-inline Ge ge_neg(const Ge& p) { return Ge{fe_neg(p.x), p.y, p.z, fe_neg(p.t)}; }
-
-/// Scalar multiplication, plain MSB-first double-and-add. `scalar` is 32
-/// little-endian bytes.
-inline Ge ge_scalar_mul(const Ge& p, const std::uint8_t scalar[32]) {
-  Ge r = ge_identity();
-  for (int i = 255; i >= 0; --i) {
-    r = ge_double(r);
-    if ((scalar[i / 8] >> (i % 8)) & 1) r = ge_add(r, p);
-  }
-  return r;
-}
-
-inline void ge_compress(std::uint8_t out[32], const Ge& p) {
-  const Fe zinv = fe_invert(p.z);
-  const Fe x = fe_mul(p.x, zinv);
-  const Fe y = fe_mul(p.y, zinv);
-  fe_to_bytes(out, y);
-  if (fe_is_negative(x)) out[31] |= 0x80;
-}
-
-/// True iff p is the group identity (projective check, no inversion):
-/// identity has X = 0 and Y = Z.
-inline bool ge_is_identity(const Ge& p) {
-  return fe_is_zero(p.x) && fe_equal(p.y, p.z);
-}
-
-/// Decompresses a point; returns false if the encoding is not on the curve.
-inline bool ge_decompress(Ge& out, const std::uint8_t in[32]) {
-  std::uint8_t y_bytes[32];
-  std::memcpy(y_bytes, in, 32);
-  const bool sign = (y_bytes[31] & 0x80) != 0;
-  y_bytes[31] &= 0x7f;
-
-  const Fe y = fe_from_bytes(y_bytes);
-  // Reject non-canonical y (>= p). fe_from_bytes reduces silently, so
-  // re-serialize and compare.
-  std::uint8_t canonical[32];
-  fe_to_bytes(canonical, y);
-  if (std::memcmp(canonical, y_bytes, 32) != 0) return false;
-
-  // x^2 = (y^2 - 1) / (d*y^2 + 1)
-  const Fe y2 = fe_sq(y);
-  const Fe u = fe_sub(y2, kFeOne);
-  const Fe v = fe_add(fe_mul(fe_d(), y2), kFeOne);
-
-  // x = u*v^3 * (u*v^7)^((p-5)/8)  (RFC 8032 §5.1.3)
-  const Fe v3 = fe_mul(fe_sq(v), v);
-  const Fe v7 = fe_mul(fe_sq(v3), v);
-  Fe x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
-
-  const Fe vx2 = fe_mul(v, fe_sq(x));
-  if (!fe_equal(vx2, u)) {
-    if (!fe_equal(vx2, fe_neg(u))) return false;
-    x = fe_mul(x, fe_sqrtm1());
-  }
-
-  if (fe_is_zero(x) && sign) return false;  // -0 is not a valid encoding
-  if (fe_is_negative(x) != sign) x = fe_neg(x);
-
-  out.x = x;
-  out.y = y;
-  out.z = kFeOne;
-  out.t = fe_mul(x, y);
-  return true;
-}
-
-inline const Ge& ge_base() {
-  // Base point B: y = 4/5, x positive (RFC 8032).
-  static const Ge base = [] {
-    std::uint8_t y_bytes[32] = {0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-                                0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66};
-    Ge b;
-    if (!ge_decompress(b, y_bytes)) throw std::logic_error("ed25519: bad base point");
-    return b;
-  }();
-  return base;
-}
-
-// ---------------------------------------------------------------------------
-// Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
-// Fixed-width 512-bit integers with shift-subtract reduction: slow but
-// obviously correct, and scalar ops are a tiny fraction of sign/verify time.
-// ---------------------------------------------------------------------------
-
-struct U512 {
-  u64 w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+struct GeP1P1 {
+  Fe x, y, z, t;
 };
 
-inline U512 u512_from_le(BytesView bytes) {
-  if (bytes.size() > 64) throw std::invalid_argument("u512_from_le: too long");
-  U512 x;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    x.w[i / 8] |= static_cast<u64>(bytes[i]) << (8 * (i % 8));
-  }
-  return x;
+struct GeCached {
+  Fe y_plus_x, y_minus_x, z, t2d;
+};
+
+struct GeNiels {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
+
+inline GeP2 ge_p2_identity() { return GeP2{fe::kZero, fe::kOne, fe::kOne}; }
+inline GeP3 ge_p3_identity() { return GeP3{fe::kZero, fe::kOne, fe::kOne, fe::kZero}; }
+
+inline GeP2 ge_p3_to_p2(const GeP3& p) { return GeP2{p.x, p.y, p.z}; }
+
+inline GeP2 ge_p1p1_to_p2(const GeP1P1& p) {
+  return GeP2{fe::mul(p.x, p.t), fe::mul(p.y, p.z), fe::mul(p.z, p.t)};
 }
 
-inline int u512_compare(const U512& a, const U512& b) {
-  for (int i = 7; i >= 0; --i) {
-    if (a.w[i] != b.w[i]) return a.w[i] < b.w[i] ? -1 : 1;
-  }
-  return 0;
+inline GeP3 ge_p1p1_to_p3(const GeP1P1& p) {
+  return GeP3{fe::mul(p.x, p.t), fe::mul(p.y, p.z), fe::mul(p.z, p.t), fe::mul(p.x, p.y)};
 }
 
-inline void u512_sub_inplace(U512& a, const U512& b) {
-  u64 borrow = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 bi = b.w[i];
-    const u64 tmp = a.w[i] - bi;
-    const u64 borrow1 = a.w[i] < bi ? 1 : 0;
-    const u64 res = tmp - borrow;
-    const u64 borrow2 = tmp < borrow ? 1 : 0;
-    a.w[i] = res;
-    borrow = borrow1 | borrow2;
-  }
+inline GeCached ge_p3_to_cached(const GeP3& p) {
+  return GeCached{fe::add(p.y, p.x), fe::sub(p.y, p.x), p.z, fe::mul(p.t, fe_2d())};
 }
 
-inline U512 u512_shift_left(const U512& a, int bits) {
-  U512 r;
-  const int word_shift = bits / 64;
-  const int bit_shift = bits % 64;
-  for (int i = 7; i >= 0; --i) {
-    u64 v = 0;
-    if (i - word_shift >= 0) v = a.w[i - word_shift] << bit_shift;
-    if (bit_shift != 0 && i - word_shift - 1 >= 0) {
-      v |= a.w[i - word_shift - 1] >> (64 - bit_shift);
-    }
-    r.w[i] = v;
-  }
-  return r;
+inline GeP3 ge_p3_neg(const GeP3& p) { return GeP3{fe::neg(p.x), p.y, p.z, fe::neg(p.t)}; }
+
+/// 2p (dbl-2008-hwcd). T3 is formed as (2Z^2 + X^2) - Y^2 so that no sub
+/// ever takes a sub result as its subtrahend.
+inline GeP1P1 ge_p2_dbl(const GeP2& p) {
+  const Fe xx = fe::sq(p.x);
+  const Fe yy = fe::sq(p.y);
+  const Fe zz = fe::sq(p.z);
+  const Fe aa = fe::sq(fe::add(p.x, p.y));
+  const Fe y_sum = fe::add(yy, xx);
+  return GeP1P1{fe::sub(aa, y_sum), y_sum, fe::sub(yy, xx),
+                fe::sub(fe::add(fe::add(zz, zz), xx), yy)};
 }
 
-inline U512 u512_add(const U512& a, const U512& b) {
-  U512 r;
-  u64 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 sum1 = a.w[i] + b.w[i];
-    const u64 carry1 = sum1 < a.w[i] ? 1 : 0;
-    const u64 sum2 = sum1 + carry;
-    const u64 carry2 = sum2 < sum1 ? 1 : 0;
-    r.w[i] = sum2;
-    carry = carry1 | carry2;
-  }
-  return r;
+inline GeP1P1 ge_p3_dbl(const GeP3& p) { return ge_p2_dbl(ge_p3_to_p2(p)); }
+
+/// p + q (add-2008-hwcd-3, complete on Ed25519).
+inline GeP1P1 ge_add(const GeP3& p, const GeCached& q) {
+  const Fe a = fe::mul(fe::sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe::mul(fe::add(p.y, p.x), q.y_plus_x);
+  const Fe c = fe::mul(q.t2d, p.t);
+  const Fe zz = fe::mul(p.z, q.z);
+  const Fe d = fe::add(zz, zz);
+  return GeP1P1{fe::sub(b, a), fe::add(b, a), fe::add(d, c), fe::sub(d, c)};
 }
 
-/// 256x256 -> 512 bit multiply (low 4 words of each input).
-inline U512 u512_mul_256(const U512& a, const U512& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(a.w[i]) * b.w[j] + r.w[i + j] + carry;
-      r.w[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    r.w[i + 4] = carry;
-  }
-  return r;
+/// p - q: the negation of q swaps Y+X with Y-X and negates 2dT.
+inline GeP1P1 ge_sub(const GeP3& p, const GeCached& q) {
+  const Fe a = fe::mul(fe::sub(p.y, p.x), q.y_plus_x);
+  const Fe b = fe::mul(fe::add(p.y, p.x), q.y_minus_x);
+  const Fe c = fe::mul(q.t2d, p.t);
+  const Fe zz = fe::mul(p.z, q.z);
+  const Fe d = fe::add(zz, zz);
+  return GeP1P1{fe::sub(b, a), fe::add(b, a), fe::sub(d, c), fe::add(d, c)};
 }
 
-inline const U512& order_l() {
-  static const U512 L = [] {
-    U512 l;
-    // L little-endian bytes (RFC 8032).
-    const std::uint8_t bytes[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
-                                    0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
-                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
-    l = u512_from_le(BytesView(bytes, 32));
-    return l;
-  }();
-  return L;
+/// p + q for affine q (mixed addition, Z2 = 1).
+inline GeP1P1 ge_madd(const GeP3& p, const GeNiels& q) {
+  const Fe a = fe::mul(fe::sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe::mul(fe::add(p.y, p.x), q.y_plus_x);
+  const Fe c = fe::mul(q.xy2d, p.t);
+  const Fe d = fe::add(p.z, p.z);
+  return GeP1P1{fe::sub(b, a), fe::add(b, a), fe::add(d, c), fe::sub(d, c)};
 }
 
-/// x mod L by shift-subtract long division.
-inline U512 u512_mod_l(U512 x) {
-  const U512& L = order_l();
-  // L is 253 bits, so L << (512-253) still fits in 512 bits exactly.
-  for (int shift = 512 - 253; shift >= 0; --shift) {
-    const U512 shifted = u512_shift_left(L, shift);
-    if (u512_compare(x, shifted) >= 0) u512_sub_inplace(x, shifted);
-  }
-  return x;
+/// p - q for affine q.
+inline GeP1P1 ge_msub(const GeP3& p, const GeNiels& q) {
+  const Fe a = fe::mul(fe::sub(p.y, p.x), q.y_plus_x);
+  const Fe b = fe::mul(fe::add(p.y, p.x), q.y_minus_x);
+  const Fe c = fe::mul(q.xy2d, p.t);
+  const Fe d = fe::add(p.z, p.z);
+  return GeP1P1{fe::sub(b, a), fe::add(b, a), fe::sub(d, c), fe::add(d, c)};
 }
 
-inline void scalar_to_bytes(std::uint8_t out[32], const U512& x) {
-  for (int i = 0; i < 32; ++i) out[i] = static_cast<std::uint8_t>(x.w[i / 8] >> (8 * (i % 8)));
+/// True iff p is the identity (projective check, no inversion): X = 0 and
+/// Y = Z.
+inline bool ge_is_identity(const GeP2& p) {
+  return fe::is_zero(p.x) && fe::equal(p.y, p.z);
 }
 
-/// Reduces a 64-byte hash to a scalar mod L (RFC 8032 "interpret as
-/// little-endian integer, reduce").
-inline void reduce_hash_to_scalar(std::uint8_t out[32], BytesView hash64) {
-  const U512 x = u512_mod_l(u512_from_le(hash64));
-  scalar_to_bytes(out, x);
-}
+/// Canonical 32-byte encoding: y with the sign of x in bit 255.
+void ge_compress(std::uint8_t out[32], const GeP2& p);
 
-/// out = (a * b) mod L, both inputs 32-byte little-endian scalars.
-inline void scalar_mul(std::uint8_t out[32], const std::uint8_t a[32],
-                       const std::uint8_t b[32]) {
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 bb = u512_from_le(BytesView(b, 32));
-  const U512 reduced = u512_mod_l(u512_mul_256(aa, bb));
-  scalar_to_bytes(out, reduced);
-}
+/// Decodes a point (RFC 8032 §5.1.3). Returns false, leaving `out`
+/// unspecified, for y >= p, for a y with no x on the curve, and for the
+/// sign bit set on x = 0.
+bool ge_decompress(GeP3& out, const std::uint8_t in[32]);
 
-/// out = (a + b) mod L, both inputs 32-byte little-endian scalars < L.
-inline void scalar_add(std::uint8_t out[32], const std::uint8_t a[32],
-                       const std::uint8_t b[32]) {
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 bb = u512_from_le(BytesView(b, 32));
-  const U512 reduced = u512_mod_l(u512_add(aa, bb));
-  scalar_to_bytes(out, reduced);
-}
+/// The base point B (y = 4/5, x even).
+const GeP3& ge_base();
 
-/// s = (r + k*a) mod L, all inputs 32-byte little-endian scalars.
-inline void scalar_muladd(std::uint8_t out[32], const std::uint8_t k[32],
-                          const std::uint8_t a[32], const std::uint8_t r[32]) {
-  const U512 kk = u512_from_le(BytesView(k, 32));
-  const U512 aa = u512_from_le(BytesView(a, 32));
-  const U512 rr = u512_from_le(BytesView(r, 32));
-  const U512 sum = u512_add(u512_mul_256(kk, aa), rr);
-  const U512 reduced = u512_mod_l(sum);
-  scalar_to_bytes(out, reduced);
-}
+/// [a]B through the precomputed radix-16 table of B: 64 mixed additions and
+/// 4 doublings. Requires a[31] <= 127 (every clamped or reduced scalar).
+GeP3 ge_scalarmult_base(const std::uint8_t a[32]);
+
+// ---------------------------------------------------------------------------
+// Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493
+// (and mod 8L), by Barrett reduction over 64-bit words (HAC 14.42); every
+// output is fully reduced.
+// ---------------------------------------------------------------------------
+
+/// out = x mod L for a 64-byte little-endian x (a SHA-512 digest).
+void sc_reduce64(std::uint8_t out[32], const std::uint8_t x[64]);
+
+/// out = (a * b + c) mod L; a, b, c are any 32-byte little-endian values.
+void sc_muladd(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32],
+               const std::uint8_t c[32]);
+
+/// out = (a * b) mod L.
+void sc_mul(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32]);
+
+/// out = (a * b) mod 8L. The order of every curve point divides 8L, so
+/// [out]P = [a * b]P exactly, even for a P with a small-torsion component.
+void sc_mul_mod_8l(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32]);
+
+/// out = (a + b) mod L.
+void sc_add(std::uint8_t out[32], const std::uint8_t a[32], const std::uint8_t b[32]);
 
 /// True iff the 32 little-endian bytes encode an integer < L.
-inline bool scalar_is_canonical(const std::uint8_t s[32]) {
-  const U512 x = u512_from_le(BytesView(s, 32));
-  return u512_compare(x, order_l()) < 0;
-}
+bool sc_is_canonical(const std::uint8_t s[32]);
 
-inline void clamp(std::uint8_t a[32]) {
-  a[0] &= 248;
-  a[31] &= 127;
-  a[31] |= 64;
-}
+// ---------------------------------------------------------------------------
+// Multi-scalar multiplication.
+// ---------------------------------------------------------------------------
 
-struct ExpandedKey {
-  std::uint8_t scalar[32];
-  std::uint8_t prefix[32];
+/// Width-w non-adjacent form of s (requires s < 2^255, so 256 digits
+/// suffice): every digit is 0 or odd with |digit| < 2^(w-1), and any two
+/// nonzero digits are at least w positions apart. Returns one past the
+/// highest nonzero digit (0 for s = 0).
+int ge_wnaf(std::array<std::int8_t, 256>& naf, const std::uint8_t s[32], int width);
+
+/// The 2^(width-2) odd multiples P, 3P, 5P, ... that width-`width` w-NAF
+/// digits index.
+std::vector<GeCached> ge_odd_multiples(const GeP3& p, int width);
+
+/// One variable-base term [scalar]P: the scalar's w-NAF and P's odd
+/// multiples for the same width.
+struct MsmTerm {
+  std::array<std::int8_t, 256> naf{};
+  int digits = 0;  // ge_wnaf's return value
+  const GeCached* odd_multiples = nullptr;
 };
 
-inline ExpandedKey expand_seed(BytesView seed) {
-  if (seed.size() != kEd25519SeedSize) {
-    throw std::invalid_argument("ed25519: seed must be 32 bytes");
-  }
-  const Bytes h = sha512(seed);
-  ExpandedKey key;
-  std::memcpy(key.scalar, h.data(), 32);
-  std::memcpy(key.prefix, h.data() + 32, 32);
-  clamp(key.scalar);
-  return key;
-}
+/// [b_scalar]B + sum [s_i]P_i by Straus' interleaved w-NAF multi-scalar
+/// multiplication: one shared chain of doublings, as long as the longest
+/// w-NAF. [b_scalar]B is computed as [lo]B + [hi]([2^128]B) from
+/// precomputed width-8 tables of odd multiples of B and of [2^128]B, so it
+/// needs only 128 doublings; callers split their own 253-bit scalars the
+/// same way (sc_split128, DecodedKey). b_scalar must be < 2^256.
+GeP2 ge_msm(const std::uint8_t b_scalar[32], std::span<const MsmTerm> terms);
+
+/// s = lo + 2^128 * hi, both halves as 32-byte scalars.
+void sc_split128(const std::uint8_t s[32], std::uint8_t lo[32], std::uint8_t hi[32]);
+
+// ---------------------------------------------------------------------------
+// Decoded-key cache.
+// ---------------------------------------------------------------------------
+
+/// Width of the w-NAF for public-key terms: the cache builds
+/// 2^(kKeyNafWidth-2) odd multiples of each of -A and [2^128](-A) once.
+inline constexpr int kKeyNafWidth = 6;
+
+/// A decoded public key ready for the verification equation: odd
+/// multiples (width kKeyNafWidth) of -A and of [2^128](-A), so that a
+/// 253-bit scalar k applies as [k mod 2^128](-A) + [k >> 128]([2^128](-A)).
+struct DecodedKey {
+  std::array<std::uint8_t, 32> encoding{};
+  std::vector<GeCached> neg_odd_multiples;
+  std::vector<GeCached> neg_odd_multiples_hi;
+};
+
+/// A bounded, thread-safe map from a 32-byte public key to its decoded
+/// point and table. A deployment signs with a small fixed set of keys (its
+/// writers, its servers, its ring authority), so after warm-up every
+/// verification skips the point decompression and the table build. At
+/// capacity the least recently used key is evicted. Encodings that do not
+/// decode are never inserted.
+class KeyCache {
+ public:
+  explicit KeyCache(std::size_t capacity);
+
+  /// The process-wide cache every verification goes through.
+  static KeyCache& global();
+
+  /// The decoded key, decoding and inserting it on a miss; nullptr if the
+  /// encoding is not a valid point. The returned entry stays valid after
+  /// eviction.
+  std::shared_ptr<const DecodedKey> get(const std::uint8_t public_key[32]);
+
+  std::size_t size() const;
+  bool contains(const std::uint8_t public_key[32]) const;
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const std::array<std::uint8_t, 32>& key) const;
+  };
+  struct Slot {
+    std::shared_ptr<const DecodedKey> key;
+    std::uint64_t last_used = 0;
+  };
+
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::array<std::uint8_t, 32>, Slot, KeyHash> slots_;
+  std::uint64_t clock_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Verification.
+// ---------------------------------------------------------------------------
+
+/// The unmetered verifier behind ed25519_verify (a batch of one) and
+/// ed25519_batch_verify, taking its decoded keys from `keys`.
+BatchVerifyResult verify_batch(std::span<const BatchVerifyItem> items, KeyCache& keys);
 
 }  // namespace securestore::crypto::ed25519_internal

@@ -9,8 +9,6 @@ namespace {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
-constexpr u64 kMask51 = (u64{1} << 51) - 1;
-
 }  // namespace
 
 void carry(Fe& h) {
@@ -65,60 +63,6 @@ void to_bytes(std::uint8_t s[32], const Fe& f) {
     for (int i = 0; i < 8; ++i) s[8 * w + i] = static_cast<std::uint8_t>(packed[w] >> (8 * i));
   }
 }
-
-Fe add(const Fe& a, const Fe& b) {
-  Fe h;
-  for (int i = 0; i < 5; ++i) h.v[i] = a.v[i] + b.v[i];
-  carry(h);
-  return h;
-}
-
-Fe sub(const Fe& a, const Fe& b) {
-  static constexpr u64 k8P0 = 8 * ((u64{1} << 51) - 19);
-  static constexpr u64 k8Pi = 8 * ((u64{1} << 51) - 1);
-  Fe h;
-  h.v[0] = a.v[0] + k8P0 - b.v[0];
-  for (int i = 1; i < 5; ++i) h.v[i] = a.v[i] + k8Pi - b.v[i];
-  carry(h);
-  return h;
-}
-
-Fe neg(const Fe& a) { return sub(kZero, a); }
-
-Fe mul(const Fe& a, const Fe& b) {
-  const u128 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = a0 * b0 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19;
-  u128 t1 = a0 * b1 + a1 * b0 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19;
-  u128 t2 = a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4_19 + a4 * b3_19;
-  u128 t3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4_19;
-  u128 t4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-
-  Fe h;
-  u64 c;
-  c = static_cast<u64>(t0 >> 51);
-  h.v[0] = static_cast<u64>(t0) & kMask51;
-  t1 += c;
-  c = static_cast<u64>(t1 >> 51);
-  h.v[1] = static_cast<u64>(t1) & kMask51;
-  t2 += c;
-  c = static_cast<u64>(t2 >> 51);
-  h.v[2] = static_cast<u64>(t2) & kMask51;
-  t3 += c;
-  c = static_cast<u64>(t3 >> 51);
-  h.v[3] = static_cast<u64>(t3) & kMask51;
-  t4 += c;
-  c = static_cast<u64>(t4 >> 51);
-  h.v[4] = static_cast<u64>(t4) & kMask51;
-  h.v[0] += c * 19;
-  h.v[1] += h.v[0] >> 51;
-  h.v[0] &= kMask51;
-  return h;
-}
-
-Fe sq(const Fe& a) { return mul(a, a); }
 
 Fe sqn(Fe a, int n) {
   for (int i = 0; i < n; ++i) a = sq(a);

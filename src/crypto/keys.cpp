@@ -6,10 +6,13 @@
 
 namespace securestore::crypto {
 
-KeyPair KeyPair::generate(Rng& rng) {
+KeyPair KeyPair::generate(Rng& rng) { return from_seed(rng.bytes(kEd25519SeedSize)); }
+
+KeyPair KeyPair::from_seed(Bytes seed) {
   KeyPair pair;
-  pair.seed = rng.bytes(kEd25519SeedSize);
-  pair.public_key = ed25519_public_key(pair.seed);
+  pair.signing_key = ed25519_expand(seed);
+  pair.public_key.assign(pair.signing_key.public_key.begin(), pair.signing_key.public_key.end());
+  pair.seed = std::move(seed);
   return pair;
 }
 
@@ -20,9 +23,9 @@ CryptoMeter& CryptoMeter::instance() {
 
 void CryptoMeter::reset() { *this = CryptoMeter{}; }
 
-Bytes meter_sign(BytesView seed, BytesView message) {
+Bytes meter_sign(const Ed25519SigningKey& key, BytesView message) {
   ++CryptoMeter::instance().signs;
-  return ed25519_sign(seed, message);
+  return ed25519_sign(key, message);
 }
 
 bool meter_verify(BytesView public_key, BytesView message, BytesView signature) {

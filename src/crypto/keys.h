@@ -9,18 +9,24 @@
 
 #include <cstdint>
 
+#include "crypto/ed25519.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
 namespace securestore::crypto {
 
 /// An Ed25519 key pair. `seed` is the private key (paper: K_i^{-1}),
-/// `public_key` the well-known verification key (paper: K_i).
+/// `public_key` the well-known verification key (paper: K_i), and
+/// `signing_key` the seed expanded once, so each signature costs one
+/// base-point multiplication. Build one with generate or from_seed, which
+/// keep the three consistent.
 struct KeyPair {
   Bytes seed;
   Bytes public_key;
+  Ed25519SigningKey signing_key;
 
   static KeyPair generate(Rng& rng);
+  static KeyPair from_seed(Bytes seed);
 };
 
 /// Counters for cryptographic operations. One instance per thread: the
@@ -39,7 +45,7 @@ class CryptoMeter {
 };
 
 /// Ed25519 sign, counted.
-Bytes meter_sign(BytesView seed, BytesView message);
+Bytes meter_sign(const Ed25519SigningKey& key, BytesView message);
 
 /// Ed25519 verify, counted.
 bool meter_verify(BytesView public_key, BytesView message, BytesView signature);

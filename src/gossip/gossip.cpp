@@ -7,6 +7,17 @@
 
 namespace securestore::gossip {
 
+namespace {
+
+/// Value bytes per kGossipUpdates message. A peer that lags far behind (a
+/// burst of writes between two rounds) is sent several messages, each
+/// materialized and encoded only after the previous one is handed to the
+/// transport, so an exchange's memory peak stays near one message's copies
+/// instead of growing with the write rate.
+constexpr std::size_t kMaxUpdateBytes = 256 * 1024;
+
+}  // namespace
+
 GossipEngine::GossipEngine(net::RpcNode& node, const storage::StorageEngine& store,
                            std::vector<NodeId> peers, Config config, Rng rng, ApplyFn apply)
     : node_(node),
@@ -118,6 +129,28 @@ void GossipEngine::send_digest(NodeId peer) {
   node_.send_oneway(peer, net::MsgType::kGossipDigest, encode_digest(entries));
 }
 
+void GossipEngine::send_records(NodeId to, const std::vector<ItemId>& items) {
+  std::vector<core::WriteRecord> chunk;
+  std::size_t chunk_bytes = 0;
+  const auto flush = [&] {
+    if (chunk.empty()) return;
+    records_sent_.inc(chunk.size());
+    node_.send_oneway(to, net::MsgType::kGossipUpdates, encode_updates(chunk));
+    chunk.clear();
+    chunk_bytes = 0;
+  };
+  for (const ItemId item : items) {
+    // Copied before the next engine call: see the StorageEngine::current
+    // pointer contract.
+    const core::WriteRecord* record = store_.current(item);
+    if (record == nullptr || (record->flags & core::kScattered)) continue;
+    chunk.push_back(*record);
+    chunk_bytes += record->value.size();
+    if (chunk_bytes >= kMaxUpdateBytes) flush();
+  }
+  flush();
+}
+
 void GossipEngine::push_record(const core::WriteRecord& record) {
   const Bytes updates = encode_updates({record});
   // A single-record push carries its origin context in the envelope too, so
@@ -137,14 +170,13 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
         const std::vector<DigestEntry> remote = decode_digest(body);
 
         // Push: records where we are ahead of (or unknown to) the digest.
-        std::vector<core::WriteRecord> to_send;
+        std::vector<ItemId> to_send;
         std::vector<ItemId> remote_items;
         remote_items.reserve(remote.size());
         for (const DigestEntry& entry : remote) remote_items.push_back(entry.item);
 
         // Decide from the metadata index which items the peer is behind on;
-        // only those get materialized (and copied before the next engine
-        // call — see the StorageEngine::current pointer contract).
+        // only those get materialized, by send_records.
         for (const storage::CurrentEntry& entry : store_.current_index()) {
           if (entry.flags & core::kScattered) continue;
           const auto it = std::find(remote_items.begin(), remote_items.end(), entry.item);
@@ -152,14 +184,9 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
             const auto& remote_ts = remote[static_cast<std::size_t>(it - remote_items.begin())].ts;
             if (!(remote_ts < entry.ts)) continue;
           }
-          if (const core::WriteRecord* record = store_.current(entry.item)) {
-            to_send.push_back(*record);
-          }
+          to_send.push_back(entry.item);
         }
-        if (!to_send.empty()) {
-          records_sent_.inc(to_send.size());
-          node_.send_oneway(from, net::MsgType::kGossipUpdates, encode_updates(to_send));
-        }
+        send_records(from, to_send);
 
         // Pull: items where the digest is ahead of us.
         std::vector<ItemId> wanted;
@@ -173,26 +200,17 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
         return;
       }
       case net::MsgType::kGossipRequest: {
-        std::vector<core::WriteRecord> to_send;
-        for (const ItemId item : decode_request(body)) {
-          const core::WriteRecord* record = store_.current(item);
-          if (record != nullptr && !(record->flags & core::kScattered)) {
-            to_send.push_back(*record);
-          }
-        }
-        if (!to_send.empty()) {
-          records_sent_.inc(to_send.size());
-          node_.send_oneway(from, net::MsgType::kGossipUpdates, encode_updates(to_send));
-        }
+        send_records(from, decode_request(body));
         return;
       }
       case net::MsgType::kGossipUpdates: {
         const auto updates = decode_updates(body);
-        // Multi-record messages go through the batch apply path when one is
-        // installed, so the owner verifies all writer signatures as one
-        // Ed25519 batch. The accounting below is identical either way.
+        // Messages go through the batch apply path when one is installed,
+        // so the owner verifies all writer signatures as one Ed25519 batch
+        // (a lone record is a batch of one). The accounting below is
+        // identical either way.
         std::vector<bool> accepted;
-        if (apply_batch_ && updates.size() > 1) {
+        if (apply_batch_) {
           accepted = apply_batch_(updates, from);
           // A short result vector rejects the tail — never accept a record
           // the owner did not explicitly vouch for.

@@ -73,10 +73,8 @@ class GossipEngine {
   void stop();
   bool running() const { return running_; }
 
-  /// Optional: installs the batch apply path. Multi-record kGossipUpdates
-  /// messages then go through `apply_batch` instead of per-record
-  /// `apply_`; single-record messages keep using `apply_` (a batch of one
-  /// amortizes nothing).
+  /// Optional: installs the batch apply path. kGossipUpdates messages then
+  /// go through `apply_batch` instead of per-record `apply_`.
   void set_apply_batch(ApplyBatchFn apply_batch) { apply_batch_ = std::move(apply_batch); }
 
   /// Sharded deployments (DESIGN.md §11): when set, every tick also offers
@@ -120,6 +118,10 @@ class GossipEngine {
 
   void tick();
   void send_digest(NodeId peer);
+  /// Sends the current records of `items` (skipping absent and scattered
+  /// ones) as kGossipUpdates messages of at most about kMaxUpdateBytes of
+  /// values each.
+  void send_records(NodeId to, const std::vector<ItemId>& items);
   std::vector<NodeId> pick_peers();
 
   static Bytes encode_digest(const std::vector<DigestEntry>& entries);

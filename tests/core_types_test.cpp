@@ -201,7 +201,7 @@ TEST(StoredContext, SignVerifyRoundtrip) {
   Context context(kGroup);
   context.set(kX, Timestamp{3, {}, {}});
   StoredContext stored{ClientId{2}, context, {}};
-  stored.sign(keys.seed);
+  stored.sign(keys.signing_key);
   EXPECT_TRUE(stored.verify(keys.public_key));
 
   stored.context.set(kX, Timestamp{4, {}, {}});

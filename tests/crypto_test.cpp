@@ -812,7 +812,7 @@ TEST(CryptoMeter, CountsOperations) {
   meter.reset();
 
   const Bytes message = to_bytes("metered");
-  const Bytes signature = meter_sign(pair.seed, message);
+  const Bytes signature = meter_sign(pair.signing_key, message);
   EXPECT_TRUE(meter_verify(pair.public_key, message, signature));
   (void)meter_digest(message);
   (void)meter_mac(to_bytes("key"), message);

@@ -57,6 +57,29 @@ TEST(Gossip, WriteConvergesToAllServers) {
   EXPECT_EQ(servers_with_item(cluster, kX1), cluster.server_count());
 }
 
+TEST(Gossip, BacklogLargerThanOneMessageConverges) {
+  // 25 x 32 KiB of writes between rounds is more than one kGossipUpdates
+  // message carries, so each exchange sends its records in several
+  // messages; every one must arrive and apply.
+  ClusterOptions options;
+  options.n = 4;
+  options.gossip.period = seconds(5);
+  Cluster cluster(options);
+  cluster.set_group_policy(mrc_policy());
+
+  auto client = cluster.make_client(ClientId{1}, client_options());
+  SyncClient sync(*client, cluster.scheduler());
+  std::vector<ItemId> items;
+  for (std::uint64_t i = 0; i < 25; ++i) {
+    items.push_back(ItemId{1000 + i});
+    ASSERT_TRUE(sync.write(items.back(), Bytes(32 * 1024, static_cast<std::uint8_t>(i))).ok());
+  }
+  cluster.run_for(seconds(30));
+  for (const ItemId item : items) {
+    EXPECT_EQ(servers_with_item(cluster, item), cluster.server_count()) << "item " << item.value;
+  }
+}
+
 TEST(Gossip, NewerVersionOvertakesOlderEverywhere) {
   ClusterOptions options;
   options.n = 6;
