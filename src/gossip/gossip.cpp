@@ -1,6 +1,7 @@
 #include "gossip/gossip.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "obs/trace.h"
 #include "util/serial.h"
@@ -169,30 +170,35 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
       case net::MsgType::kGossipDigest: {
         const std::vector<DigestEntry> remote = decode_digest(body);
 
-        // Push: records where we are ahead of (or unknown to) the digest.
-        std::vector<ItemId> to_send;
-        std::vector<ItemId> remote_items;
-        remote_items.reserve(remote.size());
-        for (const DigestEntry& entry : remote) remote_items.push_back(entry.item);
+        // Both directions are decided from metadata alone: the peer's
+        // timestamps against one snapshot of our current-version index.
+        // Nothing is read from storage here — only the records chosen for
+        // sending are materialized, by send_records. A duplicated digest
+        // item is resolved by its first occurrence.
+        std::unordered_map<ItemId, std::size_t> first;
+        first.reserve(remote.size());
+        for (std::size_t i = 0; i < remote.size(); ++i) first.try_emplace(remote[i].item, i);
 
-        // Decide from the metadata index which items the peer is behind on;
-        // only those get materialized, by send_records.
-        for (const storage::CurrentEntry& entry : store_.current_index()) {
+        // Push: records where we are ahead of (or unknown to) the digest.
+        // Our version of each digest item is noted for the pull below.
+        const std::vector<storage::CurrentEntry> index = store_.current_index();
+        std::vector<const core::Timestamp*> ours(remote.size(), nullptr);
+        std::vector<ItemId> to_send;
+        for (const storage::CurrentEntry& entry : index) {
+          const auto it = first.find(entry.item);
+          if (it != first.end()) ours[it->second] = &entry.ts;
           if (entry.flags & core::kScattered) continue;
-          const auto it = std::find(remote_items.begin(), remote_items.end(), entry.item);
-          if (it != remote_items.end()) {
-            const auto& remote_ts = remote[static_cast<std::size_t>(it - remote_items.begin())].ts;
-            if (!(remote_ts < entry.ts)) continue;
+          if (it == first.end() || remote[it->second].ts < entry.ts) {
+            to_send.push_back(entry.item);
           }
-          to_send.push_back(entry.item);
         }
         send_records(from, to_send);
 
         // Pull: items where the digest is ahead of us.
         std::vector<ItemId> wanted;
-        for (const DigestEntry& entry : remote) {
-          const core::WriteRecord* mine = store_.current(entry.item);
-          if (mine == nullptr || mine->ts < entry.ts) wanted.push_back(entry.item);
+        for (std::size_t i = 0; i < remote.size(); ++i) {
+          if (first.at(remote[i].item) != i) continue;  // a later duplicate
+          if (ours[i] == nullptr || *ours[i] < remote[i].ts) wanted.push_back(remote[i].item);
         }
         if (!wanted.empty()) {
           node_.send_oneway(from, net::MsgType::kGossipRequest, encode_request(wanted));

@@ -540,7 +540,8 @@ std::uint64_t LsmStore::flush_locked() {
   // SST: the flag must be durable in the engine's own files before the WAL
   // positions that produced it become truncatable.
 
-  SstBuilder builder;
+  const std::uint32_t file_no = next_file_no_++;
+  SstBuilder builder(file_path(file_no));
   std::map<VersionKey, std::pair<std::uint64_t, std::uint32_t>> locations;
   for (const auto& [key, record] : memtable_) {
     locations.emplace(key, builder.add_record(record));
@@ -551,9 +552,8 @@ std::uint64_t LsmStore::flush_locked() {
     if (idx.faulty) builder.add_flag(item);
   }
 
-  const std::uint32_t file_no = next_file_no_++;
   const std::uint64_t covered = wal_watermark_;
-  builder.finish(file_path(file_no), covered);
+  builder.finish(covered);
   auto reader = SstReader::open(file_path(file_no));
   if (!reader) {
     throw std::runtime_error("lsm: freshly flushed SST failed validation: " +
@@ -707,6 +707,7 @@ void LsmStore::run_compaction(std::unique_lock<std::mutex>& lock) {
   // the next compaction — never incorrect, only un-reclaimed.
   lock.unlock();
   struct Output {
+    explicit Output(std::uint32_t no, const std::string& path) : file_no(no), builder(path) {}
     std::uint32_t file_no;
     SstBuilder builder;
   };
@@ -722,12 +723,12 @@ void LsmStore::run_compaction(std::unique_lock<std::mutex>& lock) {
     lock.lock();
     const std::uint32_t no = next_file_no_++;
     lock.unlock();
-    output = std::make_unique<Output>(Output{no, SstBuilder{}});
+    output = std::make_unique<Output>(no, file_path(no));
     for (const ItemId item : flagged) output->builder.add_flag(item);
     flagged.clear();  // flags go into the first output only
   };
   auto finish_output = [&] {
-    output->builder.finish(file_path(output->file_no), covered);
+    output->builder.finish(covered);
     finished.push_back(output->file_no);
     output.reset();
   };

@@ -15,12 +15,6 @@ namespace securestore::storage::lsm {
 
 namespace {
 
-void append_frame(Writer& out, const Writer& body) {
-  out.u32(static_cast<std::uint32_t>(body.data().size()));
-  out.u32(crc32(body.data()));
-  out.raw(body.data());
-}
-
 void encode_index_entry(Writer& w, const SstIndexEntry& entry) {
   w.u8(static_cast<std::uint8_t>(entry.kind));
   w.u64(entry.item.value);
@@ -78,19 +72,59 @@ bool read_exact_at(int fd, std::uint64_t offset, std::uint8_t* out, std::size_t 
 
 }  // namespace
 
-SstBuilder::SstBuilder() {
-  buffer_.str(kSstMagic);
-  buffer_.u32(kSstVersion);
+SstBuilder::SstBuilder(std::string path)
+    : path_(std::move(path)), temp_path_(path_ + ".tmp") {
+  fd_ = ::open(temp_path_.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd_ < 0) throw std::runtime_error("sst: cannot open " + temp_path_);
+  drain_.reserve(kSstDrainBytes);
+  Writer header;
+  header.str(kSstMagic);
+  header.u32(kSstVersion);
+  emit(header.data());
+}
+
+SstBuilder::~SstBuilder() {
+  if (fd_ >= 0) ::close(fd_);
+  if (!finished_) std::remove(temp_path_.c_str());
+}
+
+void SstBuilder::emit(BytesView data) {
+  if (drain_.size() + data.size() > kSstDrainBytes) drain();
+  if (data.size() >= kSstDrainBytes) {
+    // Larger than the buffer: straight to the file (the buffer is empty).
+    file_crc_ = crc32(data, file_crc_);
+    write_all(fd_, data.data(), data.size());
+  } else {
+    drain_.insert(drain_.end(), data.begin(), data.end());
+  }
+  offset_ += data.size();
+}
+
+void SstBuilder::drain() {
+  file_crc_ = crc32(drain_, file_crc_);
+  write_all(fd_, drain_.data(), drain_.size());
+  drain_.clear();
+}
+
+std::pair<std::uint64_t, std::uint32_t> SstBuilder::add_frame(SstIndexEntry entry) {
+  entry.offset = offset_;
+  entry.frame_len = static_cast<std::uint32_t>(8 + body_.data().size());
+  encode_index_entry(index_, entry);
+  ++entry_count_;
+
+  Writer header;
+  header.u32(static_cast<std::uint32_t>(body_.data().size()));
+  header.u32(crc32(body_.data()));
+  emit(header.data());
+  emit(body_.data());
+  return {entry.offset, entry.frame_len};
 }
 
 std::pair<std::uint64_t, std::uint32_t> SstBuilder::add_record(
     const core::WriteRecord& record) {
-  const std::uint64_t offset = buffer_.data().size();
-  Writer body;
-  body.u8(static_cast<std::uint8_t>(SstEntryKind::kRecord));
-  record.encode(body);
-  append_frame(buffer_, body);
-  const auto frame_len = static_cast<std::uint32_t>(8 + body.data().size());
+  body_.clear();
+  body_.u8(static_cast<std::uint8_t>(SstEntryKind::kRecord));
+  record.encode(body_);
 
   SstIndexEntry entry;
   entry.kind = SstEntryKind::kRecord;
@@ -101,55 +135,47 @@ std::pair<std::uint64_t, std::uint32_t> SstBuilder::add_record(
   entry.digest = record.ts.digest;
   entry.rec_writer = record.writer;
   entry.rflags = record.flags;
-  entry.offset = offset;
-  entry.frame_len = frame_len;
-  index_.push_back(std::move(entry));
-  return {offset, frame_len};
+  return add_frame(std::move(entry));
 }
 
 void SstBuilder::add_flag(ItemId item) {
-  const std::uint64_t offset = buffer_.data().size();
-  Writer body;
-  body.u8(static_cast<std::uint8_t>(SstEntryKind::kFlag));
-  body.u64(item.value);
-  append_frame(buffer_, body);
+  body_.clear();
+  body_.u8(static_cast<std::uint8_t>(SstEntryKind::kFlag));
+  body_.u64(item.value);
 
   SstIndexEntry entry;
   entry.kind = SstEntryKind::kFlag;
   entry.item = item;
-  entry.offset = offset;
-  entry.frame_len = static_cast<std::uint32_t>(8 + body.data().size());
-  index_.push_back(std::move(entry));
+  add_frame(std::move(entry));
 }
 
-void SstBuilder::finish(const std::string& path, std::uint64_t covered_lsn) {
-  const std::uint64_t index_offset = buffer_.data().size();
-  buffer_.u32(static_cast<std::uint32_t>(index_.size()));
-  for (const SstIndexEntry& entry : index_) encode_index_entry(buffer_, entry);
-  buffer_.u64(index_offset);
-  buffer_.u64(covered_lsn);
+void SstBuilder::finish(std::uint64_t covered_lsn) {
+  const std::uint64_t index_offset = offset_;
+  Writer tail;
+  tail.u32(entry_count_);
+  emit(tail.data());
+  emit(index_.data());
+  tail.clear();
+  tail.u64(index_offset);
+  tail.u64(covered_lsn);
+  emit(tail.data());
   // The file CRC covers everything before itself, footer fields included.
-  buffer_.u32(crc32(buffer_.data()));
-  buffer_.u64(kSstFooterMagic);
+  drain();
+  tail.clear();
+  tail.u32(file_crc_);
+  tail.u64(kSstFooterMagic);
+  emit(tail.data());
+  drain();
 
-  const std::string temp_path = path + ".tmp";
-  const int fd = ::open(temp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) throw std::runtime_error("sst: cannot open " + temp_path);
-  try {
-    write_all(fd, buffer_.data().data(), buffer_.data().size());
-    if (::fsync(fd) != 0) throw std::runtime_error("sst: fsync failed for " + temp_path);
-  } catch (...) {
-    ::close(fd);
-    std::remove(temp_path.c_str());
-    throw;
+  if (::fsync(fd_) != 0) throw std::runtime_error("sst: fsync failed for " + temp_path_);
+  ::close(fd_);
+  fd_ = -1;
+  if (std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    throw std::runtime_error("sst: rename failed for " + path_);
   }
-  ::close(fd);
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    throw std::runtime_error("sst: rename failed for " + path);
-  }
-  const auto slash = path.find_last_of('/');
-  fsync_dir(slash == std::string::npos ? "." : path.substr(0, slash));
+  finished_ = true;
+  const auto slash = path_.find_last_of('/');
+  fsync_dir(slash == std::string::npos ? "." : path_.substr(0, slash));
 }
 
 std::unique_ptr<SstReader> SstReader::open(const std::string& path) {
@@ -226,7 +252,8 @@ std::optional<core::WriteRecord> SstReader::read_record(std::uint64_t offset,
     const std::uint32_t body_len = r.u32();
     const std::uint32_t body_crc = r.u32();
     if (body_len != frame_len - 8) return std::nullopt;
-    const Bytes body = r.raw(body_len);
+    // Check and decode the body where it lies in the frame buffer.
+    const BytesView body = BytesView(frame).subspan(8);
     if (crc32(body) != body_crc) return std::nullopt;
     Reader br(body);
     if (static_cast<SstEntryKind>(br.u8()) != SstEntryKind::kRecord) return std::nullopt;

@@ -40,6 +40,9 @@ inline constexpr std::uint32_t kSstVersion = 1;
 /// "SSTFEND1", little-endian.
 inline constexpr std::uint64_t kSstFooterMagic = 0x31444E4546545353ull;
 inline constexpr std::size_t kSstFooterSize = 28;
+/// SstBuilder's write buffer: frames accumulate here and go to the file,
+/// CRC-chained, in writes of at most this size.
+inline constexpr std::size_t kSstDrainBytes = 256 * 1024;
 
 enum class SstEntryKind : std::uint8_t {
   kRecord = 1,
@@ -62,30 +65,62 @@ struct SstIndexEntry {
   std::uint32_t frame_len = 0;  // 8 + body_len
 };
 
-/// Accumulates one SST in memory, then writes it atomically: temp file,
-/// write, fsync, rename, directory fsync — the same discipline snapshots
-/// use, so a crash leaves either no file or a complete one (and a torn
-/// rename is caught by the footer CRC).
+/// Streams one SST to `<path>.tmp`, then installs it atomically: fsync,
+/// rename, directory fsync — the same discipline snapshots use, so a crash
+/// leaves either no file or a complete one (and a torn rename is caught by
+/// the footer CRC). A builder destroyed before `finish` succeeds removes its
+/// temp file.
+///
+/// Memory bound: frames pass through one fixed drain buffer
+/// (kSstDrainBytes) on their way to the file, and the whole-file CRC is
+/// chained as each drain is written, so no whole-file buffer exists. What
+/// stays resident is the drain buffer, the frame being encoded, and the
+/// encoded index (82 bytes per entry with a SHA-256 digest — the version
+/// metadata the engine's in-memory index already holds), whatever the SST's size.
 class SstBuilder {
  public:
-  SstBuilder();
+  /// Opens `<path>.tmp` and writes the header. Throws std::runtime_error if
+  /// the temp file cannot be created.
+  explicit SstBuilder(std::string path);
+  ~SstBuilder();
+
+  SstBuilder(const SstBuilder&) = delete;
+  SstBuilder& operator=(const SstBuilder&) = delete;
 
   /// Returns the frame's (offset, frame_len) so the caller can point its
   /// in-memory index at the new file.
   std::pair<std::uint64_t, std::uint32_t> add_record(const core::WriteRecord& record);
   void add_flag(ItemId item);
 
-  std::size_t entry_count() const { return index_.size(); }
-  /// Bytes of frame data so far — compaction splits output at a target.
-  std::size_t data_bytes() const { return buffer_.data().size(); }
+  std::size_t entry_count() const { return entry_count_; }
+  /// Bytes of header and frame data so far — compaction splits output at a
+  /// target.
+  std::size_t data_bytes() const { return static_cast<std::size_t>(offset_); }
 
-  /// Writes and fsyncs the finished file. Throws std::runtime_error on any
-  /// I/O failure. The builder is spent afterwards.
-  void finish(const std::string& path, std::uint64_t covered_lsn);
+  /// Writes the index and footer, fsyncs, renames the temp file to `path`
+  /// and fsyncs the directory. Throws std::runtime_error on any I/O
+  /// failure. The builder is spent afterwards.
+  void finish(std::uint64_t covered_lsn);
 
  private:
-  Writer buffer_;
-  std::vector<SstIndexEntry> index_;
+  /// Emits body_ as one frame (length, CRC, body) and indexes it under
+  /// `entry`'s version key at the frame's location.
+  std::pair<std::uint64_t, std::uint32_t> add_frame(SstIndexEntry entry);
+  /// Appends to the drain buffer, draining first when it would overflow.
+  void emit(BytesView data);
+  /// Writes the drain buffer to the temp file, chaining the file CRC.
+  void drain();
+
+  std::string path_;
+  std::string temp_path_;
+  int fd_ = -1;
+  bool finished_ = false;
+  std::uint64_t offset_ = 0;  // bytes emitted so far (drained or buffered)
+  std::uint32_t file_crc_ = 0;  // CRC of every drained byte
+  Bytes drain_;
+  Writer body_;  // the frame body being encoded; reused across frames
+  Writer index_;
+  std::uint32_t entry_count_ = 0;
 };
 
 /// Read side: validates the whole file once at open (footer magic, file

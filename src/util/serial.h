@@ -40,6 +40,9 @@ class Writer {
 
   const Bytes& data() const { return buffer_; }
   Bytes take() { return std::move(buffer_); }
+  /// Empties the buffer but keeps its capacity, so one Writer can encode a
+  /// stream of messages without reallocating.
+  void clear() { buffer_.clear(); }
 
  private:
   Bytes buffer_;

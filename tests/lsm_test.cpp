@@ -298,6 +298,142 @@ TEST(LsmStore, CheckpointHardlinksManifestAndSsts) {
 }
 
 // ---------------------------------------------------------------------------
+// Streaming SstBuilder: frames pass through a fixed drain buffer, so files
+// several buffers long (and frames bigger than the buffer) must come out
+// byte-exact, and an unfinished build must never leave a temp file behind.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> tmp_files_in(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") out.push_back(entry.path().string());
+  }
+  return out;
+}
+
+TEST(SstBuilder, FileSeveralDrainBuffersLongReadsBackEveryFrame) {
+  TempDir dir;
+  const std::string path = dir.path + "/" + storage::lsm::sst_filename(1);
+  std::vector<WriteRecord> records;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> locations;
+  {
+    storage::lsm::SstBuilder builder(path);
+    builder.add_flag(ItemId{9001});
+    std::uint64_t i = 1;
+    for (; builder.data_bytes() < 3 * storage::lsm::kSstDrainBytes; ++i) {
+      const std::string value(4096, static_cast<char>('a' + i % 26));
+      records.push_back(make_record(ItemId{i}, i, value));
+      locations.push_back(builder.add_record(records.back()));
+    }
+    // One frame larger than the drain buffer goes straight to the file.
+    const std::string huge(storage::lsm::kSstDrainBytes + 7, 'L');
+    records.push_back(make_record(ItemId{i}, i, huge));
+    locations.push_back(builder.add_record(records.back()));
+    builder.add_flag(ItemId{9002});
+    EXPECT_EQ(builder.entry_count(), records.size() + 2);
+    builder.finish(/*covered_lsn=*/77);
+  }
+  EXPECT_TRUE(tmp_files_in(dir.path).empty());
+  EXPECT_GT(fs::file_size(path), 4 * storage::lsm::kSstDrainBytes);
+
+  const auto reader = storage::lsm::SstReader::open(path);
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->covered_lsn(), 77u);
+  ASSERT_EQ(reader->index().size(), records.size() + 2);
+  EXPECT_EQ(reader->index().front().kind, storage::lsm::SstEntryKind::kFlag);
+  EXPECT_EQ(reader->index().front().item, ItemId{9001});
+  EXPECT_EQ(reader->index().back().kind, storage::lsm::SstEntryKind::kFlag);
+  EXPECT_EQ(reader->index().back().item, ItemId{9002});
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const storage::lsm::SstIndexEntry& entry = reader->index()[i + 1];
+    EXPECT_EQ(entry.offset, locations[i].first) << "record " << i;
+    EXPECT_EQ(entry.frame_len, locations[i].second) << "record " << i;
+    EXPECT_EQ(entry.digest, records[i].ts.digest) << "record " << i;
+    const auto read = reader->read_record(entry.offset, entry.frame_len);
+    ASSERT_TRUE(read.has_value()) << "record " << i;
+    EXPECT_EQ(*read, records[i]) << "record " << i;
+  }
+}
+
+TEST(SstBuilder, UnfinishedBuilderRemovesItsTempFile) {
+  TempDir dir;
+  const std::string path = dir.path + "/" + storage::lsm::sst_filename(1);
+  {
+    storage::lsm::SstBuilder builder(path);
+    for (std::uint64_t i = 1; i <= 100; ++i) {
+      builder.add_record(make_record(ItemId{i}, i, std::string(4096, 'u')));
+    }
+    EXPECT_EQ(tmp_files_in(dir.path).size(), 1u);
+  }
+  EXPECT_TRUE(tmp_files_in(dir.path).empty());
+  EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(SstBuilder, FailedFinishRemovesItsTempFile) {
+  TempDir dir;
+  // The target name is taken by a directory, so the final rename fails.
+  const std::string path = dir.path + "/" + storage::lsm::sst_filename(1);
+  fs::create_directories(path + "/occupied");
+  {
+    storage::lsm::SstBuilder builder(path);
+    builder.add_record(make_record(kX, 1, "doomed"));
+    EXPECT_THROW(builder.finish(1), std::runtime_error);
+  }
+  EXPECT_TRUE(tmp_files_in(dir.path).empty());
+  EXPECT_TRUE(fs::is_directory(path));
+
+  // The engine directory vanishes mid-build: finish throws, and nothing is
+  // left behind under the old name either.
+  const std::string gone_dir = dir.path + "/gone";
+  fs::create_directories(gone_dir);
+  const std::string gone_path = gone_dir + "/" + storage::lsm::sst_filename(2);
+  {
+    storage::lsm::SstBuilder builder(gone_path);
+    builder.add_record(make_record(kX, 2, "orphaned"));
+    fs::remove_all(gone_dir);
+    EXPECT_THROW(builder.finish(2), std::runtime_error);
+  }
+  EXPECT_FALSE(fs::exists(gone_path + ".tmp"));
+  EXPECT_FALSE(fs::exists(gone_path));
+}
+
+TEST(LsmStore, MultiFileCompactionOutputRoundTripsThroughReopen) {
+  TempDir dir;
+  LsmStore::Options options = small_options(dir.path);
+  options.l0_compact_threshold = 100;  // compact_now() drives the merge below
+  std::uint64_t lsn = 0;
+  {
+    LsmStore store(options);
+    for (std::uint64_t round = 1; round <= 3; ++round) {
+      for (std::uint64_t i = 1; i <= 30; ++i) {
+        store.apply(make_record(ItemId{i}, round * 100 + i,
+                                "r" + std::to_string(round) + std::string(4096, 'c')));
+        store.note_wal_lsn(++lsn);
+      }
+      store.flush();
+    }
+    store.compact_now();
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.l0_files, 0u);
+    // 30 current versions plus log history, 4 KiB each, against a 64 KiB
+    // output target: the merge must have split into several files.
+    EXPECT_GE(stats.sst_files, 3u);
+    EXPECT_TRUE(tmp_files_in(dir.path).empty());
+  }
+  LsmStore reopened(options);
+  EXPECT_EQ(reopened.durable_lsn(), lsn);
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+  EXPECT_EQ(reopened.item_count(), 30u);
+  for (std::uint64_t i = 1; i <= 30; ++i) {
+    const WriteRecord* record = reopened.current(ItemId{i});
+    ASSERT_NE(record, nullptr) << "item " << i;
+    EXPECT_EQ(*record, make_record(ItemId{i}, 300 + i, "r3" + std::string(4096, 'c')))
+        << "item " << i;
+    EXPECT_EQ(reopened.log(ItemId{i}).size(), 3u) << "item " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Corruption quarantine: bit-flips and torn tails must never crash the
 // engine or silently serve damaged data.
 // ---------------------------------------------------------------------------

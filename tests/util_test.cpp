@@ -4,6 +4,8 @@
 
 #include <unordered_set>
 
+#include "crc32_oracle.h"
+#include "testkit/seed.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/ids.h"
@@ -50,6 +52,56 @@ TEST(Crc32, DetectsSingleBitFlip) {
     frame[i] ^= 0x01;
     EXPECT_NE(crc32(frame), good) << "flip at byte " << i;
     frame[i] ^= 0x01;
+  }
+}
+
+// Differential: the slicing-by-16 kernel against the bytewise oracle. The
+// kernel's 16-byte main loop, its tail loop and the hand-off between them
+// are exactly where a table index or a load could go wrong, so lengths and
+// start offsets sweep across several block boundaries.
+
+bool gtest_failed() { return ::testing::Test::HasFailure(); }
+
+TEST(Crc32Differential, EveryShortLengthAtEveryOffset) {
+  testkit::SeedBanner banner("crc32_short", 1301, gtest_failed);
+  Rng rng(banner.seed());
+  const Bytes buffer = rng.bytes(16 + 300);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const BytesView view(buffer.data() + offset, len);
+      ASSERT_EQ(crc32(view), crc32_oracle::crc32(view))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Differential, RandomLengthsAndSeeds) {
+  testkit::SeedBanner banner("crc32_random", 1302, gtest_failed);
+  Rng rng(banner.seed());
+  const Bytes buffer = rng.bytes(64 * 1024 + 16);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t offset = rng.next_below(16);
+    const std::size_t len = rng.next_below(64 * 1024 + 1);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const BytesView view(buffer.data() + offset, len);
+    ASSERT_EQ(crc32(view, seed), crc32_oracle::crc32(view, seed))
+        << "trial " << trial << " offset " << offset << " len " << len << " seed " << seed;
+  }
+}
+
+TEST(Crc32Differential, ChainingMatchesConcatenationAtEverySplit) {
+  testkit::SeedBanner banner("crc32_chain", 1303, gtest_failed);
+  Rng rng(banner.seed());
+  for (int trial = 0; trial < 8; ++trial) {
+    const Bytes data = rng.bytes(1 + rng.next_below(200));
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint32_t whole = crc32(data, seed);
+    ASSERT_EQ(whole, crc32_oracle::crc32(data, seed)) << "trial " << trial;
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+      const BytesView a(data.data(), split);
+      const BytesView b(data.data() + split, data.size() - split);
+      ASSERT_EQ(crc32(b, crc32(a, seed)), whole) << "trial " << trial << " split " << split;
+    }
   }
 }
 
