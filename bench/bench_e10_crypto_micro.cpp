@@ -15,8 +15,11 @@
 #include "crypto/ida.h"
 #include "crypto/keys.h"
 #include "crypto/sha2.h"
+#include "crypto/sha2_internal.h"
 #include "crypto/shamir.h"
 #include "crypto/x25519.h"
+#include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/rng.h"
 
 namespace securestore::crypto {
@@ -30,7 +33,20 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+// 4096 is the benchmark workloads' value size: one d(v).
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// CRC-32 guards every WAL and SST frame: a 4 KiB record frame, and a
+// 256 KiB SST drain (the whole-file CRC chains one per drain).
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(1);
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(256 * 1024);
 
 void BM_HmacSha256(benchmark::State& state) {
   Rng rng(2);
@@ -194,6 +210,11 @@ void emit_registry_sidecar() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The integrity kernels are chosen from the CPU at first use; name them so
+  // a results table says which ones it timed.
+  std::printf("kernels: sha256=%s crc32=%s\n",
+              securestore::crypto::sha2_internal::sha256_kernel_name(),
+              securestore::crc32_internal::crc32_kernel_name());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   securestore::crypto::emit_registry_sidecar();

@@ -584,7 +584,8 @@ void SecureStoreClient::write(ItemId item, BytesView value, VoidCb done) {
   record->writer = client_id_;
   record->value = options_.codec->encode(item, value);
 
-  const Bytes digest = crypto::meter_digest(record->value);
+  // d(v) once: it goes into the multi-writer timestamp and the signature.
+  Bytes digest = crypto::meter_digest(record->value);
   record->ts = next_timestamp(item, digest);
 
   if (options_.policy.model == ConsistencyModel::kCC) {
@@ -597,7 +598,7 @@ void SecureStoreClient::write(ItemId item, BytesView value, VoidCb done) {
     record->writer_context = Context(options_.policy.group);
   }
 
-  record->sign(keys_.signing_key);
+  record->sign(keys_.signing_key, std::move(digest));
 
   auto shares = std::make_shared<std::vector<Bytes>>();
   send_write(record, write_set_size(), /*round=*/0, op_deadline(), shares, std::move(trace),

@@ -1,6 +1,7 @@
 #include "core/record.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/keys.h"
 
@@ -21,7 +22,11 @@ Bytes WriteRecord::signed_payload() const {
 }
 
 void WriteRecord::sign(const crypto::Ed25519SigningKey& writer_key) {
-  value_digest = crypto::meter_digest(value);
+  sign(writer_key, crypto::meter_digest(value));
+}
+
+void WriteRecord::sign(const crypto::Ed25519SigningKey& writer_key, Bytes digest) {
+  value_digest = std::move(digest);
   if (!ts.digest.empty() && ts.digest != value_digest) {
     throw std::invalid_argument("WriteRecord::sign: ts.digest does not match d(v)");
   }

@@ -60,6 +60,10 @@ struct WriteRecord {
   /// Computes d(v), fills `value_digest`, signs. For multi-writer records
   /// the caller must have set ts.digest = d(v) first (checked).
   void sign(const crypto::Ed25519SigningKey& writer_key);
+  /// As above, with d(v) of `value` already computed by the caller, so a
+  /// writer that needed it for ts.digest hashes the value once. The
+  /// ts.digest check still applies.
+  void sign(const crypto::Ed25519SigningKey& writer_key, Bytes value_digest);
   /// sign(crypto::ed25519_expand(writer_seed)).
   void sign(BytesView writer_seed);
 

@@ -1,5 +1,12 @@
 #include "crypto/sha2.h"
 
+#include "crypto/sha2_internal.h"
+#include "util/cpu.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace securestore::crypto {
 
 namespace {
@@ -68,37 +75,118 @@ void store64_be(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
 }
 
+#if defined(__x86_64__)
+
+/// SHA-NI compression. The state lives in two registers in the order the
+/// instructions want (ABEF, CDGH); each 4-round group adds K to four
+/// message words and runs SHA256RNDS2 twice, and groups 4..15 extend the
+/// schedule with SHA256MSG1/MSG2 from the four groups before them.
+__attribute__((target("sha,ssse3,sse4.1"))) void sha256_blocks_shani(std::uint32_t state[8],
+                                                                     const std::uint8_t* data,
+                                                                     std::size_t blocks) {
+  // Big-endian words: reverse the bytes of each 32-bit lane.
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g & 3] holds message group g; when group g is due it still holds
+    // group g - 4, with g - 3, g - 2, g - 1 in the following slots.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i group;
+      if (g < 4) {
+        group = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byte_swap);
+      } else {
+        const __m128i w7 = _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4);
+        group = _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]), w7);
+        group = _mm_sha256msg2_epu32(group, w[(g + 3) & 3]);
+      }
+      w[g & 3] = group;
+      __m128i msg =
+          _mm_add_epi32(group, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK256[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // __x86_64__
+
+sha2_internal::Sha256BlocksFn selected_sha256_kernel() {
+  static const sha2_internal::Sha256BlocksFn kernel = [] {
+    const sha2_internal::Sha256BlocksFn hardware = sha2_internal::sha256_blocks_hardware();
+    return hardware != nullptr ? hardware : sha2_internal::sha256_blocks_portable;
+  }();
+  return kernel;
+}
+
 }  // namespace
+
+namespace sha2_internal {
+
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load32_be(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
+      const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+Sha256BlocksFn sha256_blocks_hardware() {
+#if defined(__x86_64__)
+  if (cpu_features().sha_ni) return sha256_blocks_shani;
+#endif
+  return nullptr;
+}
+
+const char* sha256_kernel_name() {
+  return selected_sha256_kernel() == sha256_blocks_portable ? "portable" : "sha-ni";
+}
+
+}  // namespace sha2_internal
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load32_be(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
-    const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
-}
-
 void Sha256::update(BytesView data) {
+  const sha2_internal::Sha256BlocksFn blocks = selected_sha256_kernel();
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -108,13 +196,15 @@ void Sha256::update(BytesView data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == kBlockSize) {
-      process_block(buffer_.data());
+      blocks(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  // Every whole block left goes to the kernel in one call.
+  const std::size_t whole = (data.size() - offset) / kBlockSize;
+  if (whole > 0) {
+    blocks(state_.data(), data.data() + offset, whole);
+    offset += whole * kBlockSize;
   }
   if (offset < data.size()) {
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(offset), data.end(), buffer_.begin());
@@ -123,14 +213,15 @@ void Sha256::update(BytesView data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
+  // Padding: 0x80, zeros to 56 mod 64, the 64-bit big-endian bit length —
+  // one block, or two when fewer than 9 bytes of the last one are free.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(BytesView(&zero, 1));
-  std::uint8_t length_bytes[8];
-  store64_be(length_bytes, bit_length);
-  update(BytesView(length_bytes, 8));
+  std::uint8_t tail[2 * kBlockSize] = {};
+  std::copy(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), tail);
+  tail[buffered_] = 0x80;
+  const std::size_t tail_blocks = buffered_ < kBlockSize - 8 ? 1 : 2;
+  store64_be(tail + tail_blocks * kBlockSize - 8, bit_length);
+  selected_sha256_kernel()(state_.data(), tail, tail_blocks);
   std::array<std::uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) store32_be(digest.data() + 4 * i, state_[i]);
   return digest;

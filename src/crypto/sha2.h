@@ -4,6 +4,11 @@
 // digests inside multi-writer timestamps, signed digests of contexts and
 // write records. SHA-512 exists because Ed25519 (RFC 8032) requires it.
 // Both are validated against NIST/RFC test vectors in tests/crypto_test.cpp.
+//
+// SHA-256 compresses through one of two kernels (crypto/sha2_internal.h),
+// chosen once at first use from the CPU: SHA-NI on x86-64 CPUs that have
+// it, the portable rounds everywhere else. There is no option to force
+// either; digests are byte-identical.
 #pragma once
 
 #include <array>
@@ -24,8 +29,6 @@ class Sha256 {
   std::array<std::uint8_t, kDigestSize> finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffered_ = 0;

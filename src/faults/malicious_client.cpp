@@ -46,7 +46,7 @@ core::WriteRecord MaliciousClient::send_spurious_context_write(
                                               crypto::meter_digest(to_bytes("phantom"))});
   record.writer_context = std::move(poisoned);
 
-  record.sign(keys_.signing_key);
+  record.sign(keys_.signing_key, record.value_digest);
   blast(record, fanout);
   return record;
 }
@@ -58,13 +58,13 @@ std::pair<core::WriteRecord, core::WriteRecord> MaliciousClient::send_equivocati
   first.value_digest = crypto::meter_digest(first.value);
   first.ts = core::Timestamp{time, client_id_, first.value_digest};
   first.writer_context = core::Context(policy_.group);
-  first.sign(keys_.signing_key);
+  first.sign(keys_.signing_key, first.value_digest);
 
   core::WriteRecord second = base_record(item, value_b);
   second.value_digest = crypto::meter_digest(second.value);
   second.ts = core::Timestamp{time, client_id_, second.value_digest};  // same time!
   second.writer_context = core::Context(policy_.group);
-  second.sign(keys_.signing_key);
+  second.sign(keys_.signing_key, second.value_digest);
 
   blast(first, fanout);
   blast(second, fanout);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/trace.h"
 #include "util/serial.h"
@@ -30,6 +31,8 @@ GossipEngine::GossipEngine(net::RpcNode& node, const storage::StorageEngine& sto
       rounds_(node.transport().registry().counter("gossip.rounds" + config.metric_suffix)),
       records_sent_(
           node.transport().registry().counter("gossip.records_sent" + config.metric_suffix)),
+      records_suppressed_(node.transport().registry().counter("gossip.records_suppressed" +
+                                                              config.metric_suffix)),
       records_received_(
           node.transport().registry().counter("gossip.records_received" + config.metric_suffix)),
       records_rejected_(
@@ -130,7 +133,27 @@ void GossipEngine::send_digest(NodeId peer) {
   node_.send_oneway(peer, net::MsgType::kGossipDigest, encode_digest(entries));
 }
 
-void GossipEngine::send_records(NodeId to, const std::vector<ItemId>& items) {
+GossipEngine::Shipments& GossipEngine::shipments_to(NodeId to) {
+  Shipments& shipments = shipped_[to];
+  const SimTime now = node_.transport().now();
+  if (now - shipments.swept_at >= config_.period) {
+    std::erase_if(shipments.items,
+                  [&](const auto& entry) { return now - entry.second.at >= config_.period; });
+    shipments.swept_at = now;
+  }
+  return shipments;
+}
+
+bool GossipEngine::shipped_recently(const Shipments& shipments, ItemId item,
+                                    const core::Timestamp& ts) const {
+  const auto it = shipments.items.find(item);
+  return it != shipments.items.end() && it->second.ts == ts &&
+         node_.transport().now() - it->second.at < config_.period;
+}
+
+void GossipEngine::send_records(NodeId to, const std::vector<storage::CurrentEntry>& entries) {
+  Shipments& shipments = shipments_to(to);
+  const SimTime now = node_.transport().now();
   std::vector<core::WriteRecord> chunk;
   std::size_t chunk_bytes = 0;
   const auto flush = [&] {
@@ -140,11 +163,17 @@ void GossipEngine::send_records(NodeId to, const std::vector<ItemId>& items) {
     chunk.clear();
     chunk_bytes = 0;
   };
-  for (const ItemId item : items) {
+  for (const storage::CurrentEntry& entry : entries) {
+    if (entry.flags & core::kScattered) continue;
+    if (shipped_recently(shipments, entry.item, entry.ts)) {
+      records_suppressed_.inc();
+      continue;
+    }
     // Copied before the next engine call: see the StorageEngine::current
     // pointer contract.
-    const core::WriteRecord* record = store_.current(item);
+    const core::WriteRecord* record = store_.current(entry.item);
     if (record == nullptr || (record->flags & core::kScattered)) continue;
+    shipments.items[entry.item] = Shipments::Shipped{record->ts, now};
     chunk.push_back(*record);
     chunk_bytes += record->value.size();
     if (chunk_bytes >= kMaxUpdateBytes) flush();
@@ -153,12 +182,19 @@ void GossipEngine::send_records(NodeId to, const std::vector<ItemId>& items) {
 }
 
 void GossipEngine::push_record(const core::WriteRecord& record) {
-  const Bytes updates = encode_updates({record});
+  Bytes updates;
   // A single-record push carries its origin context in the envelope too, so
   // the receiving server's verify/apply spans parent to the client write
   // that caused the push.
   const obs::TraceContext trace = origin_of(record);
   for (const NodeId peer : pick_peers()) {
+    Shipments& shipments = shipments_to(peer);
+    if (shipped_recently(shipments, record.item, record.ts)) {
+      records_suppressed_.inc();
+      continue;
+    }
+    shipments.items[record.item] = Shipments::Shipped{record.ts, node_.transport().now()};
+    if (updates.empty()) updates = encode_updates({record});
     records_sent_.inc();
     node_.send_oneway(peer, net::MsgType::kGossipUpdates, updates, trace);
   }
@@ -183,14 +219,12 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
         // Our version of each digest item is noted for the pull below.
         const std::vector<storage::CurrentEntry> index = store_.current_index();
         std::vector<const core::Timestamp*> ours(remote.size(), nullptr);
-        std::vector<ItemId> to_send;
+        std::vector<storage::CurrentEntry> to_send;
         for (const storage::CurrentEntry& entry : index) {
           const auto it = first.find(entry.item);
           if (it != first.end()) ours[it->second] = &entry.ts;
           if (entry.flags & core::kScattered) continue;
-          if (it == first.end() || remote[it->second].ts < entry.ts) {
-            to_send.push_back(entry.item);
-          }
+          if (it == first.end() || remote[it->second].ts < entry.ts) to_send.push_back(entry);
         }
         send_records(from, to_send);
 
@@ -206,7 +240,14 @@ void GossipEngine::handle(NodeId from, net::MsgType type, BytesView body) {
         return;
       }
       case net::MsgType::kGossipRequest: {
-        send_records(from, decode_request(body));
+        // The requested items' current versions, from index metadata.
+        const std::vector<ItemId> requested = decode_request(body);
+        const std::unordered_set<ItemId> wanted(requested.begin(), requested.end());
+        std::vector<storage::CurrentEntry> entries;
+        for (storage::CurrentEntry& entry : store_.current_index()) {
+          if (wanted.contains(entry.item)) entries.push_back(std::move(entry));
+        }
+        send_records(from, entries);
         return;
       }
       case net::MsgType::kGossipUpdates: {

@@ -14,6 +14,13 @@
 // or forged write to other servers since all writes that are propagated
 // have to be accompanied by the signature of the client" (§4).
 //
+// A record goes to a given peer at most once per period: two exchanges
+// with the same peer inside one round would otherwise both ship the whole
+// difference, because the second digest predates the first shipment's
+// apply — and the peer would verify every copy only to find a duplicate.
+// After a period the record ships again, so a lost shipment costs one
+// round of delay, never convergence.
+//
 // The tick period is the knob experiment E5 sweeps: it trades server
 // bandwidth for read freshness, "a frequency that can be tuned according to
 // the needs of the clients or the resources available to the servers"
@@ -116,12 +123,30 @@ class GossipEngine {
     core::Timestamp ts;
   };
 
+  /// Records handed to one peer within the last period (transport clock):
+  /// item → the version shipped and when.
+  struct Shipments {
+    struct Shipped {
+      core::Timestamp ts;
+      SimTime at = 0;
+    };
+    std::unordered_map<ItemId, Shipped> items;
+    SimTime swept_at = 0;  // expired entries are erased once per period
+  };
+
   void tick();
   void send_digest(NodeId peer);
-  /// Sends the current records of `items` (skipping absent and scattered
-  /// ones) as kGossipUpdates messages of at most about kMaxUpdateBytes of
-  /// values each.
-  void send_records(NodeId to, const std::vector<ItemId>& items);
+  /// Sends the current records named by `entries` — index metadata, so
+  /// absent, scattered and recently shipped versions are skipped before
+  /// anything is materialized — as kGossipUpdates messages of at most about
+  /// kMaxUpdateBytes of values each.
+  void send_records(NodeId to, const std::vector<storage::CurrentEntry>& entries);
+  /// `to`'s shipment record, with entries older than one period erased.
+  Shipments& shipments_to(NodeId to);
+  /// True when `item` at `ts` was handed to the peer less than one period
+  /// ago.
+  bool shipped_recently(const Shipments& shipments, ItemId item,
+                        const core::Timestamp& ts) const;
   std::vector<NodeId> pick_peers();
 
   static Bytes encode_digest(const std::vector<DigestEntry>& entries);
@@ -149,6 +174,7 @@ class GossipEngine {
   // Anti-entropy accounting (handles into the transport's registry).
   obs::Counter& rounds_;
   obs::Counter& records_sent_;
+  obs::Counter& records_suppressed_;  // not re-shipped inside one period
   obs::Counter& records_received_;
   obs::Counter& records_rejected_;
   obs::Counter& malformed_dropped_;
@@ -167,6 +193,7 @@ class GossipEngine {
     obs::TraceContext ctx;
   };
   std::unordered_map<ItemId, Origin> origins_;
+  std::unordered_map<NodeId, Shipments> shipped_;
   bool running_ = false;
   std::uint64_t ticks_ = 0;
   SimTime last_tick_at_ = 0;

@@ -7,10 +7,12 @@
 // tampering with durable state is caught by the snapshot SHA-256 and by
 // the per-record signatures the server re-verifies when records are used.
 //
-// Kernel: portable slicing-by-16 (sixteen 256-entry tables, built at compile
-// time), folding 16 bytes per step; a bytewise loop finishes the tail. There
-// is one implementation — no hardware or CPU-dispatched variant — and the
-// bytewise reference lives in the tests as its oracle.
+// Kernels (util/crc32_internal.h), one chosen at first use from the CPU:
+// on x86-64 with PCLMULQDQ, carry-less-multiply folding over the 16-byte
+// multiple of any input of 64 bytes or more; everywhere else, and for every
+// tail, portable slicing-by-16 (sixteen 256-entry tables built at compile
+// time). There is no option to force either. Both are byte-identical to the
+// bytewise reference the tests keep as their oracle.
 #pragma once
 
 #include <cstdint>

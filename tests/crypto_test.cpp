@@ -3,6 +3,9 @@
 // property-style roundtrip sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "crypto/chacha20.h"
 #include "crypto/ed25519.h"
 #include "crypto/ed25519_batch.h"
@@ -13,6 +16,7 @@
 #include "crypto/keys.h"
 #include "crypto/multisig.h"
 #include "crypto/sha2.h"
+#include "crypto/sha2_internal.h"
 #include "crypto/x25519.h"
 #include "crypto/shamir.h"
 #include "util/bytes.h"
@@ -65,6 +69,123 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     }
     const auto digest = h.finish();
     EXPECT_EQ(Bytes(digest.begin(), digest.end()), sha256(data)) << "size=" << total;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 kernels. The portable rounds are always checked, against the NIST
+// vectors and as the reference for everything else; the SHA-NI kernel is
+// checked against them whenever this CPU has it. Lengths 0..300 cross the
+// one-/two-block padding boundary and several whole-block runs, and every
+// start offset 0..15 hands the kernels unaligned input.
+// ---------------------------------------------------------------------------
+
+using sha2_internal::Sha256BlocksFn;
+
+constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// SHA-256 of `data` through `blocks` alone: whole blocks straight from
+/// `data` (so its alignment reaches the kernel), then FIPS 180-4 padding —
+/// none of Sha256's buffering.
+Bytes sha256_with(Sha256BlocksFn blocks, BytesView data) {
+  std::uint32_t state[8];
+  std::copy(std::begin(kSha256Iv), std::end(kSha256Iv), state);
+  const std::size_t whole = data.size() / 64;
+  blocks(state, data.data(), whole);
+  Bytes tail(data.begin() + static_cast<std::ptrdiff_t>(whole * 64), data.end());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  blocks(state, tail.data(), tail.size() / 64);
+  Bytes digest;
+  for (const std::uint32_t word : state) {
+    for (int i = 3; i >= 0; --i) digest.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  }
+  return digest;
+}
+
+constexpr const char* kNoShaNi = "this CPU has no SHA-NI; only the portable kernel is tested";
+
+TEST(Sha256Kernel, PortableKnownAnswers) {
+  const Sha256BlocksFn portable = sha2_internal::sha256_blocks_portable;
+  EXPECT_EQ(to_hex(sha256_with(portable, to_bytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(sha256_with(portable, to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(sha256_with(
+                portable, to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(sha256_with(portable, Bytes(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Kernel, SelectedKernelMatchesPortableEveryLengthAndOffset) {
+  Rng rng(1401);
+  const Bytes buffer = rng.bytes(16 + 300);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const BytesView view(buffer.data() + offset, len);
+      ASSERT_EQ(sha256(view), sha256_with(sha2_internal::sha256_blocks_portable, view))
+          << "kernel " << sha2_internal::sha256_kernel_name() << " offset " << offset
+          << " len " << len;
+    }
+  }
+}
+
+TEST(Sha256Kernel, EveryIncrementalSplitMatchesPortable) {
+  Rng rng(1402);
+  const Bytes data = rng.bytes(300);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView whole(data.data(), len);
+    const Bytes expected = sha256_with(sha2_internal::sha256_blocks_portable, whole);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update(whole.subspan(0, split));
+      h.update(whole.subspan(split));
+      const auto digest = h.finish();
+      ASSERT_EQ(Bytes(digest.begin(), digest.end()), expected)
+          << "len " << len << " split " << split;
+    }
+  }
+}
+
+TEST(Sha256Kernel, HardwareMatchesPortableEveryLengthAndOffset) {
+  const Sha256BlocksFn hardware = sha2_internal::sha256_blocks_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaNi;
+  Rng rng(1403);
+  const Bytes buffer = rng.bytes(16 + 300);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const BytesView view(buffer.data() + offset, len);
+      ASSERT_EQ(sha256_with(hardware, view),
+                sha256_with(sha2_internal::sha256_blocks_portable, view))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Sha256Kernel, HardwareMatchesPortableFromRandomStates) {
+  // The block function alone, from states no message would reach first:
+  // a random state and a run of 1..8 random blocks at a random offset.
+  const Sha256BlocksFn hardware = sha2_internal::sha256_blocks_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaNi;
+  Rng rng(1404);
+  const Bytes buffer = rng.bytes(16 + 8 * 64);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::uint32_t from_portable[8];
+    for (std::uint32_t& word : from_portable) word = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t from_hardware[8];
+    std::copy(std::begin(from_portable), std::end(from_portable), from_hardware);
+    const std::uint8_t* data = buffer.data() + rng.next_below(16);
+    const std::size_t blocks = 1 + rng.next_below(8);
+    sha2_internal::sha256_blocks_portable(from_portable, data, blocks);
+    hardware(from_hardware, data, blocks);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(from_hardware[i], from_portable[i])
+          << "trial " << trial << " blocks " << blocks << " word " << i;
+    }
   }
 }
 

@@ -449,5 +449,49 @@ TEST(Gossip, DuplicateDigestItemResolvedByFirstOccurrence) {
   EXPECT_EQ(to_string(x->value), "v2");  // pulled from server 0
 }
 
+TEST(Gossip, RecordShipsToAPeerOncePerPeriod) {
+  // Two exchanges with one peer inside a round: the second digest predates
+  // the first shipment's apply, so it still shows the peer behind on every
+  // record. Each record ships once; a pull request for it inside the round
+  // is not answered with a second copy either. After one period (transport
+  // clock) it ships again, so a lost shipment only costs a round.
+  ClusterOptions options;
+  options.n = 2;
+  options.b = 0;
+  options.start_gossip = false;
+  options.gossip.period = seconds(1);
+  Cluster cluster(options);
+  cluster.set_group_policy(mrc_policy());
+
+  auto client = cluster.make_client(ClientId{1}, client_options());
+  SyncClient sync(*client, cluster.scheduler());
+  client->set_server_preference({NodeId{0}, NodeId{1}});
+  for (const std::uint64_t i : {1, 2, 3}) {
+    ASSERT_TRUE(sync.write(ItemId{i}, to_bytes("value " + std::to_string(i))).ok());
+  }
+  ASSERT_EQ(cluster.server(1).store().current(ItemId{1}), nullptr);
+
+  auto& sent = cluster.registry().counter("gossip.records_sent");
+  auto& suppressed = cluster.registry().counter("gossip.records_suppressed");
+  const std::uint64_t sent_before = sent.value();
+  const Bytes behind = digest_body({});  // the peer knows nothing yet
+  auto& engine = cluster.server(0).gossip();
+
+  engine.handle(NodeId{1}, net::MsgType::kGossipDigest, behind);
+  EXPECT_EQ(sent.value() - sent_before, 3u);
+  engine.handle(NodeId{1}, net::MsgType::kGossipDigest, behind);
+  Writer request;
+  request.u32(1);
+  request.u64(2);
+  engine.handle(NodeId{1}, net::MsgType::kGossipRequest, request.take());
+  EXPECT_EQ(sent.value() - sent_before, 3u);
+  EXPECT_EQ(suppressed.value(), 4u);
+
+  cluster.run_for(options.gossip.period);
+  EXPECT_NE(cluster.server(1).store().current(ItemId{3}), nullptr);
+  engine.handle(NodeId{1}, net::MsgType::kGossipDigest, behind);
+  EXPECT_EQ(sent.value() - sent_before, 6u);
+}
+
 }  // namespace
 }  // namespace securestore

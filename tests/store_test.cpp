@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sync.h"
+#include "crypto/keys.h"
 #include "testkit/cluster.h"
 
 namespace securestore {
@@ -50,6 +51,26 @@ TEST(SecureStore, WriteThenReadRoundtrip) {
   const auto result = sync.read_value(kX1);
   ASSERT_TRUE(result.ok()) << error_name(result.error());
   EXPECT_EQ(to_string(*result), "medical record v1");
+}
+
+TEST(SecureStore, ClientWriteHashesValueOnce) {
+  // d(v) goes into the multi-writer timestamp and under the signature; the
+  // writer computes it once either way. Nothing is delivered before the
+  // counts are read, so they are the client's own.
+  for (const SharingMode sharing : {SharingMode::kSingleWriter, SharingMode::kMultiWriter}) {
+    GroupPolicy policy = mrc_policy();
+    policy.sharing = sharing;
+    Cluster cluster(ClusterOptions{});
+    cluster.set_group_policy(policy);
+    auto client = cluster.make_client(ClientId{1}, client_options(policy));
+
+    auto& meter = crypto::CryptoMeter::instance();
+    meter.reset();
+    client->write(kX1, Bytes(4096, 0x5A), [](VoidResult) {});
+    EXPECT_EQ(meter.digests, 1u) << "multi-writer " << (sharing == SharingMode::kMultiWriter);
+    EXPECT_EQ(meter.signs, 1u) << "multi-writer " << (sharing == SharingMode::kMultiWriter);
+    cluster.run_for(seconds(1));
+  }
 }
 
 TEST(SecureStore, ReadOfUnknownItemFails) {

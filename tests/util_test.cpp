@@ -2,12 +2,14 @@
 // serialization roundtrips and malformed-input rejection, ids, results.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <unordered_set>
 
 #include "crc32_oracle.h"
 #include "testkit/seed.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/ids.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -55,38 +57,74 @@ TEST(Crc32, DetectsSingleBitFlip) {
   }
 }
 
-// Differential: the slicing-by-16 kernel against the bytewise oracle. The
-// kernel's 16-byte main loop, its tail loop and the hand-off between them
-// are exactly where a table index or a load could go wrong, so lengths and
-// start offsets sweep across several block boundaries.
+// Differential: every CRC-32 kernel against the bytewise oracle — the
+// portable slicing-by-16 kernel always, the PCLMULQDQ kernel whenever this
+// CPU has it, and `crc32` (whichever of them was selected). A kernel's main
+// loop, its tail loop and the hand-off between them are exactly where a
+// table index, a fold constant or a load could go wrong, so lengths 0..1024
+// at start offsets 0..15 cross every hand-off: 63/64/65 (the fold's entry),
+// every non-multiple of 16 (the slicing tail), many 64-byte folds. Each
+// call's seed is the previous call's CRC, so seeds are chained and varied.
 
 bool gtest_failed() { return ::testing::Test::HasFailure(); }
 
-TEST(Crc32Differential, EveryShortLengthAtEveryOffset) {
-  testkit::SeedBanner banner("crc32_short", 1301, gtest_failed);
-  Rng rng(banner.seed());
-  const Bytes buffer = rng.bytes(16 + 300);
+using crc32_internal::Crc32Fn;
+
+constexpr const char* kNoPclmul = "this CPU has no PCLMULQDQ; only the portable kernel is tested";
+
+void expect_every_length_at_every_offset(Crc32Fn kernel, std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  const Bytes buffer = rng.bytes(16 + 1024);
+  auto seed = static_cast<std::uint32_t>(rng.next_u64());
   for (std::size_t offset = 0; offset < 16; ++offset) {
-    for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
       const BytesView view(buffer.data() + offset, len);
-      ASSERT_EQ(crc32(view), crc32_oracle::crc32(view))
-          << "offset " << offset << " len " << len;
+      const std::uint32_t expected = crc32_oracle::crc32(view, seed);
+      ASSERT_EQ(kernel(view, seed), expected)
+          << "offset " << offset << " len " << len << " seed " << seed;
+      seed = expected;
     }
   }
 }
 
-TEST(Crc32Differential, RandomLengthsAndSeeds) {
-  testkit::SeedBanner banner("crc32_random", 1302, gtest_failed);
-  Rng rng(banner.seed());
+void expect_random_lengths_and_seeds(Crc32Fn kernel, std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
   const Bytes buffer = rng.bytes(64 * 1024 + 16);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t offset = rng.next_below(16);
     const std::size_t len = rng.next_below(64 * 1024 + 1);
     const auto seed = static_cast<std::uint32_t>(rng.next_u64());
     const BytesView view(buffer.data() + offset, len);
-    ASSERT_EQ(crc32(view, seed), crc32_oracle::crc32(view, seed))
+    ASSERT_EQ(kernel(view, seed), crc32_oracle::crc32(view, seed))
         << "trial " << trial << " offset " << offset << " len " << len << " seed " << seed;
   }
+}
+
+TEST(Crc32Differential, EveryShortLengthAtEveryOffset) {
+  testkit::SeedBanner banner("crc32_short", 1301, gtest_failed);
+  std::printf("[kernel] crc32 uses %s\n", crc32_internal::crc32_kernel_name());
+  expect_every_length_at_every_offset(crc32, banner.seed());
+  expect_every_length_at_every_offset(crc32_internal::crc32_portable, banner.seed());
+}
+
+TEST(Crc32Differential, HardwareEveryLengthAtEveryOffset) {
+  const Crc32Fn hardware = crc32_internal::crc32_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << kNoPclmul;
+  testkit::SeedBanner banner("crc32_short_hw", 1304, gtest_failed);
+  expect_every_length_at_every_offset(hardware, banner.seed());
+}
+
+TEST(Crc32Differential, RandomLengthsAndSeeds) {
+  testkit::SeedBanner banner("crc32_random", 1302, gtest_failed);
+  expect_random_lengths_and_seeds(crc32, banner.seed());
+  expect_random_lengths_and_seeds(crc32_internal::crc32_portable, banner.seed());
+}
+
+TEST(Crc32Differential, HardwareRandomLengthsAndSeeds) {
+  const Crc32Fn hardware = crc32_internal::crc32_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << kNoPclmul;
+  testkit::SeedBanner banner("crc32_random_hw", 1305, gtest_failed);
+  expect_random_lengths_and_seeds(hardware, banner.seed());
 }
 
 TEST(Crc32Differential, ChainingMatchesConcatenationAtEverySplit) {
